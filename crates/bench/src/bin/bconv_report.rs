@@ -1,7 +1,9 @@
 //! Before/after report for the tiled binary-convolution hot path.
 //!
 //! Measures host wall-clock medians of the seed reference kernel and the
-//! tiled kernel on the paper's 3×3 layer shapes, prints the speedup table,
+//! tiled kernel on the paper's 3×3 layer shapes — and of the per-tap
+//! bit-plane reference and the gathered kernel on YOLOv2-Tiny's and
+//! AlexNet's 8-bit first layers — prints the speedup table,
 //! verifies bit-exact equality while doing so, and writes
 //! `BENCH_bconv.json` (shape, path, median ns — plus ns/pixel) so future
 //! PRs have a perf trajectory to compare against.
@@ -11,7 +13,7 @@
 //! `-- --min-speedup X` to exit nonzero if any shape's tiled-vs-reference
 //! speedup falls below `X`; `-- --check-baseline <path>` to diff this
 //! run against a committed `BENCH_bconv.json` — same shape/path entries
-//! required, and each tiled median may regress at most
+//! required, and each tiled or gathered median may regress at most
 //! `--max-regression` × (default 5, sized for noisy shared runners) —
 //! the CI guards that keep the hot path from rotting.)
 
@@ -20,6 +22,10 @@ use std::time::Instant;
 use phonebit_bench::baseline::{diff_rows, json_escape, parse_rows, Better, Row};
 use phonebit_nn::fuse::FusedBn;
 use phonebit_nn::kernels::bconv::{compute_bconv_fused, compute_bconv_fused_reference};
+use phonebit_nn::kernels::bitplane::{
+    compute_bitplane_conv_fused, compute_bitplane_conv_fused_reference,
+};
+use phonebit_tensor::bitplane::BitPlanes;
 use phonebit_tensor::bits::BitTensor;
 use phonebit_tensor::pack::{pack_f32, pack_filters};
 use phonebit_tensor::shape::{ConvGeometry, FilterShape, Shape4};
@@ -56,6 +62,54 @@ fn median_ns(samples: usize, mut f: impl FnMut()) -> f64 {
         .collect();
     times.sort_by(|a, b| a.partial_cmp(b).unwrap());
     times[times.len() / 2]
+}
+
+/// Checks `fast` bit-exact against `reference` on one output shape, times
+/// both, prints the table row and records both measurements. Returns the
+/// speedup.
+fn measure_pair(
+    results: &mut Vec<Measurement>,
+    samples: usize,
+    name: &str,
+    fast_path: &'static str,
+    out_shape: Shape4,
+    reference: impl Fn(&mut BitTensor<u64>),
+    fast: impl Fn(&mut BitTensor<u64>),
+) -> f64 {
+    // Equality first: the fast kernel must be bit-exact vs the reference.
+    let mut a = BitTensor::<u64>::zeros(out_shape);
+    let mut b = BitTensor::<u64>::zeros(out_shape);
+    reference(&mut a);
+    fast(&mut b);
+    assert_eq!(a, b, "{fast_path} kernel diverged from reference on {name}");
+
+    let time = |kernel: &dyn Fn(&mut BitTensor<u64>)| {
+        median_ns(samples, || {
+            let mut out = BitTensor::<u64>::zeros(out_shape);
+            kernel(&mut out);
+            std::hint::black_box(&out);
+        })
+    };
+    let t_ref = time(&reference);
+    let t_fast = time(&fast);
+    let pixels = out_shape.pixels() as f64;
+    let speedup = t_ref / t_fast;
+    println!(
+        "{:<32} {:>14.1} {:>14.1} {:>8.2}x  ({fast_path})",
+        name,
+        t_ref / pixels,
+        t_fast / pixels,
+        speedup
+    );
+    for (path, median_ns) in [("reference", t_ref), (fast_path, t_fast)] {
+        results.push(Measurement {
+            shape: name.into(),
+            path,
+            median_ns,
+            ns_per_pixel: median_ns / pixels,
+        });
+    }
+    speedup
 }
 
 fn main() {
@@ -99,8 +153,8 @@ fn main() {
     let geom = ConvGeometry::square(3, 1, 1);
 
     println!(
-        "{:<26} {:>14} {:>14} {:>9}  (median of {samples}, ns/pixel)",
-        "shape", "reference", "tiled", "speedup"
+        "{:<32} {:>14} {:>14} {:>9}  (median of {samples}, ns/pixel)",
+        "shape", "reference", "fast", "speedup"
     );
     let mut results: Vec<Measurement> = Vec::new();
     let mut worst_speedup = f64::INFINITY;
@@ -122,47 +176,66 @@ fn main() {
         let packed_in = pack_f32::<u64>(&input);
         let packed_f = pack_filters::<u64>(&filters);
         let fused = FusedBn::identity(k);
-        let out_shape = Shape4::new(1, hw, hw, k);
-        let pixels = (hw * hw) as f64;
-
-        // Equality first: the tiled kernel must be bit-exact vs the seed.
-        let mut a = BitTensor::<u64>::zeros(out_shape);
-        let mut b = BitTensor::<u64>::zeros(out_shape);
-        compute_bconv_fused_reference(&packed_in, &packed_f, &fused, &geom, &mut a);
-        compute_bconv_fused(&packed_in, &packed_f, &fused, &geom, &mut b);
-        assert_eq!(a, b, "tiled kernel diverged from reference on {name}");
-
-        let t_ref = median_ns(samples, || {
-            let mut out = BitTensor::<u64>::zeros(out_shape);
-            compute_bconv_fused_reference(&packed_in, &packed_f, &fused, &geom, &mut out);
-            std::hint::black_box(&out);
-        });
-        let t_tiled = median_ns(samples, || {
-            let mut out = BitTensor::<u64>::zeros(out_shape);
-            compute_bconv_fused(&packed_in, &packed_f, &fused, &geom, &mut out);
-            std::hint::black_box(&out);
-        });
-        let speedup = t_ref / t_tiled;
-        worst_speedup = worst_speedup.min(speedup);
-        println!(
-            "{:<26} {:>14.1} {:>14.1} {:>8.2}x",
+        let speedup = measure_pair(
+            &mut results,
+            samples,
             name,
-            t_ref / pixels,
-            t_tiled / pixels,
-            speedup
+            "tiled",
+            Shape4::new(1, hw, hw, k),
+            |out| compute_bconv_fused_reference(&packed_in, &packed_f, &fused, &geom, out),
+            |out| compute_bconv_fused(&packed_in, &packed_f, &fused, &geom, out),
         );
-        results.push(Measurement {
-            shape: name.into(),
-            path: "reference",
-            median_ns: t_ref,
-            ns_per_pixel: t_ref / pixels,
+        worst_speedup = worst_speedup.min(speedup);
+    }
+
+    // The first layer (§III-B Eqn 2 over 8 bit-planes): YOLOv2-Tiny's and
+    // AlexNet's conv1, per-tap reference oracle vs the gathered kernel.
+    let conv1: &[(&str, usize, usize, ConvGeometry)] = &[
+        (
+            "yolo_conv1_416x416_c3_k16",
+            416,
+            16,
+            ConvGeometry::square(3, 1, 1),
+        ),
+        (
+            "alexnet_conv1_227x227_c3_k96_s4",
+            227,
+            96,
+            ConvGeometry::square(11, 4, 0),
+        ),
+    ];
+    for &(name, hw, k, geom) in conv1 {
+        let image = Tensor::from_fn(Shape4::new(1, hw, hw, 3), |_, h, w, ch| {
+            ((h * 83 + w * 19 + ch * 7) % 256) as u8
         });
-        results.push(Measurement {
-            shape: name.into(),
-            path: "tiled",
-            median_ns: t_tiled,
-            ns_per_pixel: t_tiled / pixels,
+        let filters = Filters::from_fn(FilterShape::new(k, geom.kh, geom.kw, 3), |kk, i, j, ch| {
+            if (kk * 11 + i * 3 + j * 5 + ch * 17) % 2 == 0 {
+                1.0
+            } else {
+                -1.0
+            }
         });
+        let planes = BitPlanes::<u64>::split(&image);
+        let packed_f = pack_filters::<u64>(&filters);
+        // Thresholds inside the accumulator range, so outputs carry both
+        // bit values.
+        let fused = FusedBn {
+            xi: (0..k)
+                .map(|kk| (kk as f32 - k as f32 / 2.0) * 40.0)
+                .collect(),
+            gamma_pos: (0..k).map(|kk| kk % 3 != 0).collect(),
+        };
+        let (oh, ow) = geom.output_hw(hw, hw);
+        let speedup = measure_pair(
+            &mut results,
+            samples,
+            name,
+            "gathered",
+            Shape4::new(1, oh, ow, k),
+            |out| compute_bitplane_conv_fused_reference(&planes, &packed_f, &fused, &geom, out),
+            |out| compute_bitplane_conv_fused(&planes, &packed_f, &fused, &geom, out),
+        );
+        worst_speedup = worst_speedup.min(speedup);
     }
     println!("\nworst-case speedup: {worst_speedup:.2}x");
 
@@ -206,8 +279,9 @@ fn main() {
             std::process::exit(1);
         }
         let current: Vec<Row> = results.iter().map(Measurement::row).collect();
-        // Only the tiled path is regression-gated: the reference kernel is
-        // kept for the speedup denominator, not guarded.
+        // Only the fast paths (tiled, gathered) are regression-gated: the
+        // reference kernels are kept for the speedup denominator, not
+        // guarded.
         let failures = diff_rows(
             &baseline,
             &current,
@@ -215,7 +289,7 @@ fn main() {
             Better::Lower,
             "BENCH_bconv.json",
             "ns/px",
-            |row| row.key[1] == "tiled",
+            |row| row.key[1] != "reference",
         );
         if !failures.is_empty() {
             for f in &failures {

@@ -3,17 +3,171 @@
 //! Functional kernel execution is embarrassingly parallel over output
 //! elements (each work item writes disjoint outputs). This module provides
 //! the one primitive kernels need: run a function over disjoint index ranges
-//! on scoped std threads. Results are bit-identical to sequential execution
+//! on the host's cores. Results are bit-identical to sequential execution
 //! because ranges never overlap and the function is pure per range.
+//!
+//! The work runs on a lazily started, process-wide set of
+//! [`host_threads`]` − 1` worker threads that every call reuses; the
+//! calling thread always runs a share itself. Spawning fresh threads per
+//! kernel call instead lets the allocator's per-thread arenas pile up as
+//! threads come and go, so a long-running server's peak RSS grew with the
+//! number of kernel calls it had made.
+//!
+//! A call queues one ticket per extra share. Every participant — the
+//! caller and any worker that takes a ticket — claims work from the call
+//! until none is left, so the caller never waits on a ticket no worker has
+//! started: once its own share returns, it withdraws the unclaimed tickets
+//! and waits only for the workers already inside the call. Concurrent
+//! callers (serving lanes) and calls nested in a kernel body therefore
+//! cannot deadlock. A panic in any share is re-raised on the calling
+//! thread with its original payload.
 
+use std::any::Any;
+use std::collections::VecDeque;
 use std::ops::Range;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, Once, OnceLock};
+use std::thread::{self, Thread};
 
-/// Number of host worker threads used for kernel bodies.
+/// Number of host threads used for kernel bodies (the calling thread plus
+/// the shared workers), fixed at first use.
 pub fn host_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
+/// One parallel call: the body every participant runs until the call's
+/// work is claimed, and its completion count.
+struct Job<'a> {
+    body: &'a (dyn Fn() + Sync),
+    /// Tickets queued or taken by workers and not yet finished.
+    pending: AtomicUsize,
+    caller: Thread,
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
+}
+
+impl Job<'_> {
+    /// Runs one share of the body, keeping the first panic payload.
+    fn run_share(&self) {
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(self.body)) {
+            let mut slot = self.panic.lock().unwrap_or_else(|e| e.into_inner());
+            slot.get_or_insert(payload);
+        }
+    }
+}
+
+/// A queued share of a [`Job`] living on its caller's stack.
+struct Ticket(*const Job<'static>);
+
+// SAFETY: a ticket only points at a `Job` whose caller is blocked in
+// `run_shared` until the ticket is withdrawn or finished, so the pointee
+// outlives every use on another thread; `Job` itself is `Sync` (a `Sync`
+// body, an atomic, a `Thread` handle and a mutex).
+unsafe impl Send for Ticket {}
+
+/// The shared workers' ticket queue.
+struct Pool {
+    queue: Mutex<VecDeque<Ticket>>,
+    ready: Condvar,
+}
+
+static POOL: Pool = Pool {
+    queue: Mutex::new(VecDeque::new()),
+    ready: Condvar::new(),
+};
+
+/// The worker pool, started on first use.
+fn pool() -> &'static Pool {
+    static STARTED: Once = Once::new();
+    STARTED.call_once(|| {
+        // Workers live as long as the process and are never joined: every
+        // share they run catches its own panic, so they never exit.
+        for i in 1..host_threads() {
+            thread::Builder::new()
+                .name(format!("phonebit-host-{i}"))
+                .spawn(|| worker(&POOL))
+                .expect("cannot spawn a host worker thread");
+        }
+    });
+    &POOL
+}
+
+fn lock_queue(pool: &Pool) -> MutexGuard<'_, VecDeque<Ticket>> {
+    // Shares run outside the lock, so a poisoned queue is still consistent.
+    pool.queue.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+fn worker(pool: &'static Pool) {
+    loop {
+        let ticket = {
+            let mut queue = lock_queue(pool);
+            loop {
+                if let Some(ticket) = queue.pop_front() {
+                    break ticket;
+                }
+                queue = pool.ready.wait(queue).unwrap_or_else(|e| e.into_inner());
+            }
+        };
+        // SAFETY: the job's caller cannot leave `run_shared` while this
+        // ticket counts in `pending` (see `Ticket`).
+        let job = unsafe { &*ticket.0 };
+        job.run_share();
+        // The job may be gone the moment `pending` drops: take what the
+        // wake-up needs first.
+        let caller = job.caller.clone();
+        if job.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
+            caller.unpark();
+        }
+    }
+}
+
+/// Runs `body` on the calling thread and on up to `shares − 1` workers at
+/// once. `body` must claim work from shared state until none is left, so
+/// that any one participant can finish the call alone.
+fn run_shared(shares: usize, body: &(dyn Fn() + Sync)) {
+    let helpers = shares.min(host_threads()).saturating_sub(1);
+    if helpers == 0 {
+        body();
+        return;
+    }
+    let job = Job {
+        body,
+        pending: AtomicUsize::new(helpers),
+        caller: thread::current(),
+        panic: Mutex::new(None),
+    };
+    // The tickets erase `job`'s lifetime. They are dereferenced only while
+    // `job` is alive: this function withdraws or waits out every ticket
+    // before returning, and unwinding cannot skip that (`run_share`
+    // catches panics).
+    let erased = (&job as *const Job<'_>).cast::<Job<'static>>();
+    let pool = pool();
+    {
+        let mut queue = lock_queue(pool);
+        queue.extend((0..helpers).map(|_| Ticket(erased)));
+    }
+    for _ in 0..helpers {
+        pool.ready.notify_one();
+    }
+    job.run_share();
+    // Every unit of work is claimed now; tickets still queued are stale.
+    let withdrawn = {
+        let mut queue = lock_queue(pool);
+        let before = queue.len();
+        queue.retain(|t| !std::ptr::eq(t.0, erased));
+        before - queue.len()
+    };
+    if withdrawn > 0 {
+        job.pending.fetch_sub(withdrawn, Ordering::AcqRel);
+    }
+    while job.pending.load(Ordering::Acquire) != 0 {
+        thread::park();
+    }
+    let panic = job.panic.into_inner().unwrap_or_else(|e| e.into_inner());
+    if let Some(payload) = panic {
+        resume_unwind(payload);
+    }
 }
 
 /// Runs `f` over `0..n` split into contiguous ranges across host threads.
@@ -21,27 +175,21 @@ pub fn host_threads() -> usize {
 /// `min_chunk` bounds splitting so tiny workloads stay sequential. `f` must
 /// be safe to call concurrently on disjoint ranges.
 pub fn par_for(n: usize, min_chunk: usize, f: impl Fn(Range<usize>) + Sync) {
-    let threads = host_threads();
     if n == 0 {
         return;
     }
-    let chunk = (n.div_ceil(threads)).max(min_chunk.max(1));
+    let chunk = (n.div_ceil(host_threads())).max(min_chunk.max(1));
     if chunk >= n {
         f(0..n);
         return;
     }
     let next = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..threads.min(n.div_ceil(chunk)) {
-            s.spawn(|| loop {
-                let start = next.fetch_add(chunk, Ordering::Relaxed);
-                if start >= n {
-                    break;
-                }
-                let end = (start + chunk).min(n);
-                f(start..end);
-            });
+    run_shared(n.div_ceil(chunk), &|| loop {
+        let start = next.fetch_add(chunk, Ordering::Relaxed);
+        if start >= n {
+            break;
         }
+        f(start..(start + chunk).min(n));
     });
 }
 
@@ -49,11 +197,11 @@ pub fn par_for(n: usize, min_chunk: usize, f: impl Fn(Range<usize>) + Sync) {
 /// the chunk index. The final chunk may be shorter.
 ///
 /// This is the "each work item writes its own output rows" pattern: `out`
-/// is split by `chunk_len` so no two threads alias. Work is partitioned
-/// statically — each worker owns one contiguous run of chunks — so the
-/// dispatch allocates nothing proportional to the chunk count (the engine's
-/// steady-state zero-allocation contract extends through kernel bodies);
-/// results are bit-identical to sequential execution either way.
+/// is split by `chunk_len` so no two threads alias. Work is handed out in
+/// one contiguous run of chunks per host thread, so the dispatch allocates
+/// nothing proportional to the chunk count (the engine's steady-state
+/// zero-allocation contract extends through kernel bodies); results are
+/// bit-identical to sequential execution either way.
 pub fn par_chunks_mut<T: Send>(
     out: &mut [T],
     chunk_len: usize,
@@ -68,21 +216,25 @@ pub fn par_chunks_mut<T: Send>(
         }
         return;
     }
-    let per_worker = n.div_ceil(threads);
-    std::thread::scope(|s| {
-        let mut rest = out;
-        let mut first_chunk = 0;
-        while !rest.is_empty() {
-            let take = (per_worker * chunk_len).min(rest.len());
-            let (region, tail) = std::mem::take(&mut rest).split_at_mut(take);
-            rest = tail;
-            let f = &f;
-            s.spawn(move || {
-                for (j, c) in region.chunks_mut(chunk_len).enumerate() {
-                    f(first_chunk + j, c);
-                }
-            });
-            first_chunk += per_worker;
+    let per_share = n.div_ceil(threads);
+    // The unclaimed tail of `out` and the index of its first chunk.
+    let rest = Mutex::new((out, 0usize));
+    run_shared(n.div_ceil(per_share), &|| loop {
+        let (region, first_chunk) = {
+            let mut rest = rest.lock().unwrap_or_else(|e| e.into_inner());
+            let (tail, first_chunk) = &mut *rest;
+            if tail.is_empty() {
+                break;
+            }
+            let take = (per_share * chunk_len).min(tail.len());
+            let (region, remainder) = std::mem::take(tail).split_at_mut(take);
+            *tail = remainder;
+            let first = *first_chunk;
+            *first_chunk += per_share;
+            (region, first)
+        };
+        for (j, c) in region.chunks_mut(chunk_len).enumerate() {
+            f(first_chunk + j, c);
         }
     });
 }
@@ -146,6 +298,50 @@ mod tests {
             f(i, c);
         }
         assert_eq!(a, b);
+    }
+
+    #[test]
+    #[should_panic(expected = "body panic 7")]
+    fn worker_panic_keeps_its_payload() {
+        let mut data = vec![0u32; 64];
+        par_chunks_mut(&mut data, 1, |idx, _| {
+            if idx == 7 {
+                panic!("body panic {idx}");
+            }
+        });
+    }
+
+    #[test]
+    fn calls_reuse_the_same_host_threads() {
+        let seen = Mutex::new(std::collections::HashSet::new());
+        for _ in 0..50 {
+            par_for(64, 1, |_| {
+                seen.lock().unwrap().insert(thread::current().id());
+            });
+        }
+        // The caller plus at most `host_threads() - 1` shared workers, not a
+        // fresh set of threads per call.
+        assert!(seen.lock().unwrap().len() <= host_threads());
+    }
+
+    #[test]
+    fn nested_and_concurrent_calls_complete() {
+        let total = AtomicU64::new(0);
+        thread::scope(|s| {
+            for lane in 0..3u64 {
+                let total = &total;
+                s.spawn(move || {
+                    par_for(8, 1, |outer| {
+                        for _ in outer {
+                            par_for(16, 1, |inner| {
+                                total.fetch_add(inner.len() as u64 * (lane + 1), Ordering::Relaxed);
+                            });
+                        }
+                    });
+                });
+            }
+        });
+        assert_eq!(total.load(Ordering::Relaxed), 8 * 16 * (1 + 2 + 3));
     }
 
     #[test]

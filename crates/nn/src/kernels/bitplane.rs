@@ -2,19 +2,46 @@
 //!
 //! The first convolution layer receives 8-bit integer images. Following
 //! §III-B, the input is split into 8 bit-planes and the output accumulates
-//! `s = Σ_n 2^(n−1) <I_n · W>` where each `<·>` is a `{0,1} × {±1}` binary
+//! `s = Σ_n 2^n <I_n · W>` where each `<·>` is a `{0,1} × {±1}` binary
 //! convolution computed with masked popcounts. The split and recombination
 //! are the extra work behind conv1's lower speedup in Fig 5.
+//!
+//! Every conv1 body — [`compute_bitplane_conv_fused`], [`bitplane_conv_accum`]
+//! and the fused conv→pool chain — runs one output row at a time through
+//! `GatheredPlanes::row`:
+//!
+//! - **Dense windows.** Each plane's `kh × kw × C` window is gathered once
+//!   per output pixel into a dense bitstring, tap `(i, j)` channel `c` at
+//!   bit `(i·kw + j)·C + c`. That is one `u64` for a 3×3×3 conv1 and six for
+//!   AlexNet's 11×11×3, against `kh·kw` mostly-empty words per plane in the
+//!   channel-packed layout. The filter bank is re-laid into the same dense
+//!   rows once per call.
+//! - **The filter-independent term once.** With `a · w = 2·popcount(a & w) −
+//!   popcount(a)` for a `{0,1}` plane `a`, the second term
+//!   `T = Σ_n 2^n · popcount(window_n)` does not depend on the filter, so it
+//!   is computed once per window and each of the `K` filters costs one
+//!   AND+popcount per plane word: `s = 2·Σ_n 2^n·popcount(window_n & w) − T`.
+//! - **No border tables.** Plane bits are `{0,1}`, so an out-of-bounds tap
+//!   is simply left zero in the gathered window and adds to neither term —
+//!   unlike the ±1 binary layers, whose padding taps contribute `−1` and
+//!   need the tap-popcount tables of [`crate::kernels::tiled`].
+//!
+//! The per-pixel, per-filter, per-plane, per-tap walk
+//! [`bitplane_window_dot`] is kept as the reference oracle
+//! ([`compute_bitplane_conv_fused_reference`]), like
+//! [`compute_bconv_fused_reference`](crate::kernels::bconv::compute_bconv_fused_reference)
+//! for the binary layers.
 
 use phonebit_gpusim::exec::par_chunks_mut;
 use phonebit_gpusim::queue::CommandQueue;
 use phonebit_tensor::bitplane::BitPlanes;
-use phonebit_tensor::bits::{BitTensor, BitWord, PackedFilters};
+use phonebit_tensor::bits::{merge_bits, BitTensor, BitWord, PackedFilters};
 use phonebit_tensor::shape::{ConvGeometry, Layout, Shape4};
 use phonebit_tensor::tensor::Tensor;
 
 use crate::fuse::FusedBn;
 use crate::kernels::profiles;
+use crate::kernels::tiled::BorderSpan;
 use crate::workload::WorkloadPolicy;
 
 /// Dispatches the bit-plane split of an 8-bit input image (§III-B).
@@ -34,6 +61,163 @@ pub fn bitplane_split_into<W: BitWord>(
     let s = input.shape();
     let profile = profiles::bitplane_split(s.pixels(), s.c);
     q.launch(profile, || planes.split_from(input));
+}
+
+/// One conv1 call's planes and filters in the dense-window layout of the
+/// module docs: the filter bank re-laid once, windows gathered per pixel.
+#[derive(Debug)]
+pub(crate) struct GatheredPlanes<'a, W: BitWord> {
+    planes: &'a BitPlanes<W>,
+    geom: &'a ConvGeometry,
+    /// Words in one dense `kh·kw·C`-bit window.
+    window_words: usize,
+    /// `K` dense filter rows of `window_words` words each.
+    filters: Vec<W>,
+}
+
+impl<'a, W: BitWord> GatheredPlanes<'a, W> {
+    /// Re-lays `filters` into dense window rows for convolving `planes`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the filters' channels or kernel size disagree with the
+    /// planes or `geom`.
+    pub fn new(
+        planes: &'a BitPlanes<W>,
+        filters: &PackedFilters<W>,
+        geom: &'a ConvGeometry,
+    ) -> Self {
+        let c = planes.shape().c;
+        let fs = filters.shape();
+        assert_eq!(c, fs.c, "plane channels {c} != filter channels {}", fs.c);
+        assert_eq!(
+            (geom.kh, geom.kw),
+            (fs.kh, fs.kw),
+            "geometry kernel != filter kernel"
+        );
+        // At least one word, so a zero-channel window still yields K rows.
+        let window_words = (geom.taps() * c).div_ceil(W::BITS).max(1);
+        let mut dense = vec![W::zero(); fs.k * window_words];
+        for (k, row) in dense.chunks_exact_mut(window_words).enumerate() {
+            for i in 0..fs.kh {
+                for j in 0..fs.kw {
+                    merge_bits(row, (i * fs.kw + j) * c, filters.tap_words(k, i, j), c);
+                }
+            }
+        }
+        Self {
+            planes,
+            geom,
+            window_words,
+            filters: dense,
+        }
+    }
+
+    /// Row scratch for `GatheredPlanes::row`: one pixel's gathered
+    /// window, word-major — entry `w` holds word `w` of all 8 planes —
+    /// plus one spare entry that absorbs the (zero) carry past the end.
+    pub fn scratch(&self) -> Vec<[W; 8]> {
+        vec![[W::zero(); 8]; self.window_words + 1]
+    }
+
+    /// Computes output row `(n, oy)`, calling `emit(ox, k, s)` with the
+    /// Eqn (2) accumulator `s` of every output pixel `ox < ow` and filter
+    /// `k`. `windows` is `GatheredPlanes::scratch`.
+    pub fn row(
+        &self,
+        windows: &mut [[W; 8]],
+        n: usize,
+        oy: usize,
+        ow: usize,
+        mut emit: impl FnMut(usize, usize, i32),
+    ) {
+        let ww = self.window_words;
+        let g = self.geom;
+        let s = self.planes.shape();
+        let wpp = self.planes.plane(0).words_per_pixel();
+        let planes: [&[W]; 8] = std::array::from_fn(|b| self.planes.plane(b).as_words());
+        assert_eq!(windows.len(), ww + 1, "scratch from another call");
+        for ox in 0..ow {
+            // Only the in-bounds taps are gathered; padding stays zero.
+            let span = BorderSpan::of(g, s.h, s.w, oy, ox);
+            if ww == 1 && wpp == 1 {
+                // One-word pixels into a one-word window: a plain
+                // shift-or, with the window kept in registers.
+                let mut window = [W::zero(); 8];
+                self.for_each_tap(&span, n, oy, ox, |src, bit| {
+                    for (w, plane) in window.iter_mut().zip(&planes) {
+                        *w = w.or(plane[src].shl(bit));
+                    }
+                });
+                self.emit_pixel(std::slice::from_ref(&window), ox, &mut emit);
+                continue;
+            }
+            windows.fill([W::zero(); 8]);
+            self.for_each_tap(&span, n, oy, ox, |src, bit| {
+                let (word, shift) = (bit / W::BITS, bit % W::BITS);
+                for q in 0..wpp {
+                    let (lo, hi) = windows[word + q..].split_at_mut(1);
+                    for (b, plane) in planes.iter().enumerate() {
+                        // Pixel words are tail-clean, so the shifted word
+                        // and its carry never overlap a neighbouring tap;
+                        // the two-step right shift makes the carry 0 when
+                        // `shift == 0`.
+                        let v = plane[src * wpp + q];
+                        lo[0][b] = lo[0][b].or(v.shl(shift));
+                        hi[0][b] = hi[0][b].or(v.shr(W::BITS - 1 - shift).shr(1));
+                    }
+                }
+            });
+            self.emit_pixel(&windows[..ww], ox, &mut emit);
+        }
+    }
+
+    /// Calls `f(pixel, bit)` for every in-bounds tap of output pixel
+    /// `(n, oy, ox)`: the input pixel index and the tap's first bit in the
+    /// dense window.
+    #[inline]
+    fn for_each_tap(
+        &self,
+        span: &BorderSpan,
+        n: usize,
+        oy: usize,
+        ox: usize,
+        mut f: impl FnMut(usize, usize),
+    ) {
+        let (g, s) = (self.geom, self.planes.shape());
+        for i in span.i0..span.i1 {
+            let iy = oy * g.stride_h + i - g.pad_h;
+            for j in span.j0..span.j1 {
+                let ix = ox * g.stride_w + j - g.pad_w;
+                f((n * s.h + iy) * s.w + ix, (i * g.kw + j) * s.c);
+            }
+        }
+    }
+
+    /// Emits every filter's Eqn (2) accumulator for one gathered window.
+    #[inline]
+    fn emit_pixel(&self, window: &[[W; 8]], ox: usize, emit: &mut impl FnMut(usize, usize, i32)) {
+        let t: i32 = window.iter().map(weighted_popcount).sum();
+        for (k, filter) in self.filters.chunks_exact(self.window_words).enumerate() {
+            let pos: i32 = window
+                .iter()
+                .zip(filter)
+                .map(|(planes, &f)| weighted_popcount(&planes.map(|a| a.and(f))))
+                .sum();
+            emit(ox, k, 2 * pos - t);
+        }
+    }
+}
+
+/// `Σ_n 2^n · popcount(planes[n])`: one window word of all 8 planes,
+/// weighted per Eqn (2).
+#[inline]
+fn weighted_popcount<W: BitWord>(planes: &[W; 8]) -> i32 {
+    planes
+        .iter()
+        .enumerate()
+        .map(|(n, a)| (a.popcount() as i32) << n)
+        .sum()
 }
 
 /// Masked `{0,1} x {±1}` dot of one window of one plane against one filter:
@@ -72,7 +256,9 @@ fn plane_window_dot<W: BitWord>(
     2 * pos as i32 - total as i32
 }
 
-/// The Eqn (2) accumulator for one output element across all 8 planes.
+/// The Eqn (2) accumulator for one output element across all 8 planes,
+/// walked per plane and per tap — the reference oracle for
+/// `GatheredPlanes::row`.
 #[inline]
 pub fn bitplane_window_dot<W: BitWord>(
     planes: &BitPlanes<W>,
@@ -105,8 +291,39 @@ fn output_shape<W: BitWord>(
     Shape4::new(s.n, oh, ow, fs.k)
 }
 
-/// Functional body of the fused bit-plane convolution.
+/// Functional body of the fused bit-plane convolution: gathered rows in
+/// parallel, each output bit decided by the fused threshold.
 pub fn compute_bitplane_conv_fused<W: BitWord>(
+    planes: &BitPlanes<W>,
+    filters: &PackedFilters<W>,
+    fused: &FusedBn,
+    geom: &ConvGeometry,
+    out: &mut BitTensor<W>,
+) {
+    let os = out.shape();
+    let wpp = out.words_per_pixel();
+    let conv = GatheredPlanes::new(planes, filters, geom);
+    par_chunks_mut(out.as_mut_words(), (os.w * wpp).max(1), |row_idx, span| {
+        let mut windows = conv.scratch();
+        conv.row(
+            &mut windows,
+            row_idx / os.h,
+            row_idx % os.h,
+            os.w,
+            |ox, k, s| {
+                if fused.decide_logic(k, s as f32) {
+                    let slot = ox * wpp + k / W::BITS;
+                    span[slot] = span[slot].with_bit(k % W::BITS, true);
+                }
+            },
+        );
+    });
+}
+
+/// The seed fused body: [`bitplane_window_dot`] per output pixel and
+/// filter. Kept as the bit-exactness oracle for
+/// [`compute_bitplane_conv_fused`] and the "before" side of `bconv_report`.
+pub fn compute_bitplane_conv_fused_reference<W: BitWord>(
     planes: &BitPlanes<W>,
     filters: &PackedFilters<W>,
     fused: &FusedBn,
@@ -187,16 +404,24 @@ pub fn bitplane_conv_accum<W: BitWord>(
         profiles::bitplane_conv_fused(os.pixels(), os.c, planes.shape().c, geom, &policy);
     profile.name = "bitplane_conv_accum".into();
     let k_total = os.c;
-    let (oh, ow) = (os.h, os.w);
     q.launch(profile, || {
-        par_chunks_mut(out.as_mut_slice(), k_total, |pixel, row| {
-            let n = pixel / (oh * ow);
-            let rem = pixel % (oh * ow);
-            let (oy, ox) = (rem / ow, rem % ow);
-            for (k, slot) in row.iter_mut().enumerate() {
-                *slot = bitplane_window_dot(planes, filters, geom, n, oy, ox, k);
-            }
-        });
+        let conv = GatheredPlanes::new(planes, filters, geom);
+        par_chunks_mut(
+            out.as_mut_slice(),
+            (os.w * k_total).max(1),
+            |row_idx, row| {
+                let mut windows = conv.scratch();
+                conv.row(
+                    &mut windows,
+                    row_idx / os.h,
+                    row_idx % os.h,
+                    os.w,
+                    |ox, k, s| {
+                        row[ox * k_total + k] = s;
+                    },
+                );
+            },
+        );
     });
     out
 }

@@ -35,7 +35,7 @@ use phonebit_tensor::shape::{ConvGeometry, Shape4};
 use phonebit_tensor::tensor::Tensor;
 
 use crate::fuse::FusedBn;
-use crate::kernels::bitplane::bitplane_window_dot;
+use crate::kernels::bitplane::GatheredPlanes;
 use crate::kernels::pool::PoolGeometry;
 use crate::kernels::profiles::{compulsory_input_bytes, words32, PACKED_COALESCING, VEC_LANES_128};
 use crate::kernels::tiled::{conv_row_tiled, WindowGather};
@@ -265,17 +265,15 @@ pub fn compute_in8_pool_chain<W: BitWord>(
 ) {
     let s = planes.shape();
     let (conv_oh, conv_ow) = geom.output_hw(s.h, s.w);
-    let k_total = filters.shape().k;
+    let conv = GatheredPlanes::new(planes, filters, geom);
+    let mut windows = conv.scratch();
     pooled_rows(s.n, conv_oh, conv_ow, pool, ring, out, |n, oy, wpp, row| {
-        for ox in 0..conv_ow {
-            for k in 0..k_total {
-                let x1 = bitplane_window_dot(planes, filters, geom, n, oy, ox, k);
-                if fused.decide_logic(k, x1 as f32) {
-                    let slot = ox * wpp + k / W::BITS;
-                    row[slot] = row[slot].with_bit(k % W::BITS, true);
-                }
+        conv.row(&mut windows, n, oy, conv_ow, |ox, k, x1| {
+            if fused.decide_logic(k, x1 as f32) {
+                let slot = ox * wpp + k / W::BITS;
+                row[slot] = row[slot].with_bit(k % W::BITS, true);
             }
-        }
+        });
     });
 }
 

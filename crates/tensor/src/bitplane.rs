@@ -14,7 +14,7 @@
 //! masked popcounts ([`crate::bits::dot_u1_pm1`]).
 
 use crate::bits::{BitTensor, BitWord};
-use crate::shape::Shape4;
+use crate::shape::{Layout, Shape4};
 use crate::tensor::Tensor;
 
 /// The 8 bit-planes of an unsigned 8-bit image, LSB plane first.
@@ -44,11 +44,39 @@ impl<W: BitWord> BitPlanes<W> {
     /// Re-splits `t` into this plane set, reusing the plane storage
     /// (allocation-free when the shape's packed footprint fits the existing
     /// buffers).
+    ///
+    /// An NHWC image is split a word at a time: each pixel word's 8 plane
+    /// words are built in registers from its (up to `W::BITS`) channel
+    /// bytes and stored once. Other layouts take a per-bit walk.
     pub fn split_from(&mut self, t: &Tensor<u8>) {
         let s = t.shape();
         self.shape = s;
         for plane in &mut self.planes {
             plane.reset(s);
+        }
+        if t.layout() == Layout::Nhwc && s.c > 0 {
+            let mut it = self.planes.iter_mut();
+            let mut planes: [&mut [W]; 8] =
+                std::array::from_fn(|_| it.next().expect("8 planes").as_mut_words());
+            let mut at = 0;
+            for pixel in t.as_slice().chunks_exact(s.c) {
+                for channels in pixel.chunks(W::BITS) {
+                    let mut words = [W::zero(); 8];
+                    for (c, &v) in channels.iter().enumerate() {
+                        let one = W::low_mask(1).shl(c);
+                        for (b, word) in words.iter_mut().enumerate() {
+                            if (v >> b) & 1 == 1 {
+                                *word = word.or(one);
+                            }
+                        }
+                    }
+                    for (plane, word) in planes.iter_mut().zip(words) {
+                        plane[at] = word;
+                    }
+                    at += 1;
+                }
+            }
+            return;
         }
         for n in 0..s.n {
             for h in 0..s.h {

@@ -99,15 +99,23 @@ proptest! {
     fn bitplane_split_reconstructs(
         h in 1usize..6,
         w in 1usize..6,
-        c in 1usize..8,
+        c in 1usize..80,
         seed in any::<u64>(),
     ) {
+        // C > 64 puts several words in every pixel, at every width.
         let shape = Shape4::new(1, h, w, c);
         let img = Tensor::from_fn(shape, |_, y, x, ch| {
             (seed.wrapping_mul((1 + y * 131 + x * 31 + ch * 7) as u64) % 256) as u8
         });
         let planes = BitPlanes::<u32>::split(&img);
-        prop_assert_eq!(planes.reconstruct(), img);
+        prop_assert_eq!(planes.reconstruct(), img.clone());
+        // The word-at-a-time NHWC split agrees with the per-bit walk other
+        // layouts take.
+        let nchw = img.to_layout(Layout::Nchw);
+        prop_assert_eq!(&planes, &BitPlanes::<u32>::split(&nchw));
+        let wide = BitPlanes::<u64>::split(&img);
+        prop_assert_eq!(wide.reconstruct(), img);
+        prop_assert_eq!(wide, BitPlanes::<u64>::split(&nchw));
     }
 
     #[test]
