@@ -7,7 +7,7 @@
 
 use phonebit_core::plan::StepOp;
 use phonebit_core::{
-    estimate_arch, estimate_arch_opts, select_conv_path, EstimateOptions, ExecutionPlan,
+    estimate_arch, estimate_arch_with, select_conv_path, EstimateOptions, ExecutionPlan,
     FusionMode, RouteOverrides,
 };
 use phonebit_gpusim::calib::{CostParams, EnergyParams};
@@ -171,7 +171,7 @@ fn main() {
         ),
     ];
     for (name, opts) in cases {
-        let t = estimate_arch_opts(&phone, &arch, opts).total_s;
+        let t = estimate_arch_with(&phone, &arch, 1, opts).total_s;
         println!(
             "  {:<38} {:>8.1} ms  ({:+5.1}%)",
             name,

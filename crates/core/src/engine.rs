@@ -407,19 +407,27 @@ impl StagedModel {
         batch: usize,
         overrides: RouteOverrides,
     ) -> Result<Arc<Self>, EngineError> {
-        // Lower first: the plan's compression ledger decides how many
-        // bytes each layer's bank actually stages, so weight residency is
-        // allocated *after* planning at the compressed per-layer sizes —
-        // `resident_bytes` then reports the dictionary-true footprint and
-        // matches `plan.weights_bytes` exactly.
-        let gpu = ctx.device().clone();
-        let plan =
-            ExecutionPlan::for_model_batched_with(&model, &gpu, batch, overrides).map_err(|e| {
-                EngineError::DomainMismatch {
-                    layer: e.layer,
-                    expected: e.expected,
-                }
+        let plan = ExecutionPlan::for_model_batched_with(&model, ctx.device(), batch, overrides)
+            .map_err(|e| EngineError::DomainMismatch {
+                layer: e.layer,
+                expected: e.expected,
             })?;
+        Self::stage_plan(model, plan, ctx)
+    }
+
+    /// Stages `model` under an already-lowered `plan` (which must be
+    /// `model`'s lowering for `ctx`'s device) — how the multi-tenant
+    /// runtime stages the very plans admission modeled. Weight residency
+    /// is allocated at the plan's per-layer staged sizes
+    /// ([`ExecutionPlan::staged_layer_bytes`]), so `resident_bytes`
+    /// reports the dictionary-true footprint and matches
+    /// `plan.weights_bytes` exactly.
+    pub(crate) fn stage_plan(
+        model: PbitModel,
+        plan: ExecutionPlan,
+        ctx: Context,
+    ) -> Result<Arc<Self>, EngineError> {
+        let gpu = ctx.device().clone();
         let mut weight_residency = Vec::new();
         if let Some(pg) = plan.paging.as_ref().filter(|p| !p.resident) {
             // A streaming plan holds only the hot set on-device: one pool
@@ -430,10 +438,7 @@ impl StagedModel {
                 weight_residency.push(ctx.alloc::<u8>(pg.hot_peak_bytes)?);
             }
         } else {
-            for (i, layer) in model.layers.iter().enumerate() {
-                let bytes = layer
-                    .param_bytes()
-                    .saturating_sub(plan.compress_decision(i).map_or(0, |d| d.saved_bytes()));
+            for &bytes in &plan.staged_layer_bytes {
                 if bytes > 0 {
                     weight_residency.push(ctx.alloc::<u8>(bytes)?);
                 }

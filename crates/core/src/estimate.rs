@@ -10,18 +10,24 @@
 //! the reported peak memory is the arena-true footprint a `Session` would
 //! hold.
 //!
+//! The plan carries every cost input the walk needs: a float conv's
+//! fused activation epilogue rides on [`StepOp::FConv`] and each layer's
+//! staged weight bytes on [`ExecutionPlan::staged_layer_bytes`], so the
+//! arch and model fronts lower to the same steps and nothing travels
+//! beside the plan. [`estimate_arch`] models one image;
+//! [`estimate_arch_with`] adds a batch and the ablation knobs.
+//!
 //! `Session` runs and `estimate_arch` agree exactly; integration tests pin
 //! that equivalence (timing and per-layer breakdown) on small networks
-//! covering every kernel route.
+//! covering every kernel route and every float-conv epilogue.
 
 use phonebit_gpusim::queue::CommandQueue;
 use phonebit_gpusim::{ExecutorClass, KernelProfile, Phone};
-use phonebit_nn::graph::{LayerSpec, NetworkArch};
+use phonebit_nn::graph::NetworkArch;
 use phonebit_nn::kernels::fused::{conv_chain_profile, dense_pair_profile, ChainAbsorb};
 use phonebit_nn::kernels::{bgemm, profiles};
 use phonebit_nn::workload::WorkloadPolicy;
 
-use crate::model::{PbitLayer, PbitModel};
 use crate::plan::{ExecutionPlan, FusedKind, FusedMember, FusionMode, RouteOverrides, StepOp};
 use crate::planner::ConvPath;
 use crate::stats::{LayerRun, RunReport};
@@ -51,52 +57,30 @@ pub struct EstimateOptions {
 /// Estimates a full PhoneBit inference of `arch` on `phone`, without weights
 /// or input data.
 pub fn estimate_arch(phone: &Phone, arch: &NetworkArch) -> RunReport {
-    estimate_arch_opts(phone, arch, EstimateOptions::default())
+    estimate_arch_with(phone, arch, 1, EstimateOptions::default())
 }
 
-/// [`estimate_arch`] with explicit ablation options.
-pub fn estimate_arch_opts(phone: &Phone, arch: &NetworkArch, opts: EstimateOptions) -> RunReport {
-    estimate_impl(phone, arch, opts, 1)
-}
-
-/// Estimates one **cold batched window** of `batch` images — the exact
-/// dispatch sequence a [`Session::new_batched`](crate::Session::new_batched)
-/// engine issues: one batch-covering launch per kernel (launch overhead
-/// amortized), batch-aware routes, and the per-run framework overhead
-/// charged once for the whole window. Steady-state throughput additionally
-/// hides that overhead behind the previous window's compute (double
-/// buffering); subtract
+/// Estimates one **cold window** of `batch` images with explicit ablation
+/// options — the exact dispatch sequence a
+/// [`Session::new_batched`](crate::Session::new_batched) engine issues
+/// (batch 1 is [`estimate_arch`]'s single image): one batch-covering
+/// launch per kernel (launch overhead amortized), batch-aware routes, and
+/// the per-run framework overhead charged once for the whole window.
+/// Steady-state throughput additionally hides that overhead behind the
+/// previous window's compute (double buffering); subtract
 /// [`per_run_overhead_s`](phonebit_gpusim::queue::CommandQueue::per_run_overhead_s)
 /// for the primed-window time, as `throughput_report` does.
+/// [`EstimateOptions::fusion`] is how `fusion_report` models fused vs
+/// split windows of the same architecture.
 ///
 /// # Panics
 ///
 /// Panics when `batch == 0`.
-pub fn estimate_arch_batched(phone: &Phone, arch: &NetworkArch, batch: usize) -> RunReport {
-    estimate_impl(phone, arch, EstimateOptions::default(), batch)
-}
-
-/// [`estimate_arch_batched`] with explicit ablation options — in
-/// particular [`EstimateOptions::fusion`], which `fusion_report` uses to
-/// model fused vs split windows of the same architecture.
-///
-/// # Panics
-///
-/// Panics when `batch == 0`.
-pub fn estimate_arch_batched_opts(
+pub fn estimate_arch_with(
     phone: &Phone,
     arch: &NetworkArch,
     batch: usize,
     opts: EstimateOptions,
-) -> RunReport {
-    estimate_impl(phone, arch, opts, batch)
-}
-
-fn estimate_impl(
-    phone: &Phone,
-    arch: &NetworkArch,
-    opts: EstimateOptions,
-    batch: usize,
 ) -> RunReport {
     let mut q = CommandQueue::new(phone.gpu.clone(), ExecutorClass::PhoneBitOpenCl);
     if opts.no_latency_hiding {
@@ -121,8 +105,7 @@ fn estimate_impl(
         },
     );
 
-    let extras = activation_extras_arch(&plan, arch);
-    let per_layer = walk_plan(&mut q, &plan, &extras, opts);
+    let per_layer = walk_plan(&mut q, &plan, opts);
     RunReport {
         model: arch.name.clone(),
         total_s: q.elapsed_s(),
@@ -131,38 +114,6 @@ fn estimate_impl(
         per_layer,
         output: None,
     }
-}
-
-/// Per-step f32 operations not derivable from the plan alone: the float
-/// convolution's fused activation epilogue, read off the arch's layer
-/// specs.
-pub(crate) fn activation_extras_arch(plan: &ExecutionPlan, arch: &NetworkArch) -> Vec<f64> {
-    // Keyed by `step.index` (the original layer position), not zip order —
-    // fused plans have fewer steps than layers, and fused groups carry only
-    // binary ops (no activation extras).
-    plan.steps
-        .iter()
-        .map(|step| match (&step.op, arch.layers.get(step.index)) {
-            (StepOp::FConv { .. }, Some(LayerSpec::Conv(c))) => {
-                step.out_shape.len() as f64 * c.activation.ops_per_element()
-            }
-            _ => 0.0,
-        })
-        .collect()
-}
-
-/// [`activation_extras_arch`] for a deployed model (the serving runtime's
-/// admission controller models windows straight from the `PbitModel`).
-pub(crate) fn activation_extras_model(plan: &ExecutionPlan, model: &PbitModel) -> Vec<f64> {
-    plan.steps
-        .iter()
-        .map(|step| match (&step.op, model.layers.get(step.index)) {
-            (StepOp::FConv { .. }, Some(PbitLayer::FConv { activation, .. })) => {
-                step.out_shape.len() as f64 * activation.ops_per_element()
-            }
-            _ => 0.0,
-        })
-        .collect()
 }
 
 /// The one cost profile a [`StepOp::FusedGroup`] dispatches — built from the
@@ -233,7 +184,6 @@ pub(crate) fn fused_group_profile(
 pub(crate) fn walk_plan(
     q: &mut CommandQueue,
     plan: &ExecutionPlan,
-    extras: &[f64],
     opts: EstimateOptions,
 ) -> Vec<LayerRun> {
     // Dictionary-compressed banks read fewer filter bytes; the estimator
@@ -332,9 +282,15 @@ pub(crate) fn walk_plan(
                     }
                 }
             }
-            StepOp::FConv { geom, k } => {
+            StepOp::FConv {
+                geom,
+                k,
+                activation,
+            } => {
+                // The fused activation epilogue, charged exactly as
+                // `fconv_into` charges it.
                 let mut p = profiles::fconv(out_shape.pixels(), *k, in_c, geom);
-                p.f32_ops += extras.get(idx).copied().unwrap_or(0.0);
+                p.f32_ops += out_shape.len() as f64 * activation.ops_per_element();
                 q.launch(p, || {});
             }
             StepOp::MaxPoolBits { size, .. } => {
@@ -484,7 +440,7 @@ mod tests {
         let phone = Phone::xiaomi_9();
         let single = estimate_arch(&phone, &a);
         for batch in [2usize, 4, 8] {
-            let b = estimate_arch_batched(&phone, &a, batch);
+            let b = estimate_arch_with(&phone, &a, batch, EstimateOptions::default());
             // Same dispatch count, batch-times the work, one overhead.
             assert!(
                 b.total_s < batch as f64 * single.total_s,
@@ -500,7 +456,7 @@ mod tests {
             assert_eq!(plan.banks, 2);
         }
         assert_eq!(
-            estimate_arch_batched(&phone, &a, 1).total_s,
+            estimate_arch_with(&phone, &a, 1, EstimateOptions::default()).total_s,
             single.total_s,
             "batch 1 is the single-image estimate"
         );

@@ -72,13 +72,12 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::engine::{ActivationData, EngineError};
-use crate::plan::RouteOverrides;
+use crate::plan::{ExecutionPlan, RouteOverrides};
 use crate::serve::{
-    admit_tenants_budgeted, modeled_window_under, open_loop_windows, percentiles_ext,
-    schedule_open_loop, DeviceRuntime, OpenLoopLoad, OpenLoopOptions, OpenLoopWorkload, PlanSource,
+    admit_and_model, modeled_window_under, open_loop_windows, percentiles, schedule_open_loop,
+    Admitted, DeviceRuntime, OpenLoopLoad, OpenLoopOptions, OpenLoopWorkload, PlanSource,
     ShedReason, TenantAsk, TenantSpec, TenantTraffic, WindowFate,
 };
-use phonebit_nn::graph::NetworkArch;
 use phonebit_tensor::tensor::Tensor;
 
 // ---------------------------------------------------------------------------
@@ -468,6 +467,18 @@ struct FitEntry {
 }
 
 impl FitEntry {
+    /// The fit of a tenant's batch-1 `plan` on one phone class: its
+    /// footprint, solo cold window and paged floor.
+    fn of(plan: &ExecutionPlan, phone: &Phone) -> Self {
+        let (cold_s, _) = modeled_window_under(plan, &phone.gpu, 1, None);
+        FitEntry {
+            weights: plan.weights_bytes,
+            arena1: plan.staged_arena_bytes(),
+            solo_ms: cold_s * 1e3,
+            paged_floor: crate::paging::paged_floor_bytes(&crate::paging::step_bank_bytes(plan)),
+        }
+    }
+
     /// The resident weight bytes this tenant charges at placement time:
     /// its paged floor when the fleet pages, its full weights otherwise.
     fn placed_weights(&self, paging: bool) -> usize {
@@ -904,7 +915,7 @@ fn assemble_report(
             }
         }
         global_lat.extend_from_slice(&lat);
-        let (p50, p95, p99, p999) = percentiles_ext(&lat);
+        let (p50, p95, p99, p999) = percentiles(&lat);
         let offered = fates[t].len();
         tenants.push(FleetTenantReport {
             name: name.clone(),
@@ -950,7 +961,7 @@ fn assemble_report(
     let offered: usize = tenants.iter().map(|t| t.offered).sum();
     let served: usize = tenants.iter().map(|t| t.served).sum();
     let shed: usize = tenants.iter().map(|t| t.shed).sum();
-    let (p50, p95, p99, p999) = percentiles_ext(&global_lat);
+    let (p50, p95, p99, p999) = percentiles(&global_lat);
     FleetReport {
         policy,
         seed,
@@ -1148,17 +1159,8 @@ impl Fleet {
             return Ok(*entry);
         }
         let spec = &self.specs[tenant];
-        let source = PlanSource::Model(&spec.model);
-        let plan = source.plan_at(&phone.gpu, 1, spec.overrides)?;
-        let extras = source.extras(&plan);
-        let (cold_s, _) = modeled_window_under(&plan, &extras, &phone.gpu, 1, None);
-        let banks = crate::paging::step_bank_bytes(&plan, &source.layer_weight_bytes(&plan));
-        let entry = FitEntry {
-            weights: plan.weights_bytes,
-            arena1: plan.staged_arena_bytes(),
-            solo_ms: cold_s * 1e3,
-            paged_floor: crate::paging::paged_floor_bytes(&banks),
-        };
+        let plan = PlanSource::Model(&spec.model).plan_at(&phone.gpu, 1, spec.overrides)?;
+        let entry = FitEntry::of(&plan, phone);
         self.fit_cache.push(((tenant, phone.gpu.name), entry));
         Ok(entry)
     }
@@ -1532,11 +1534,29 @@ struct EstDevice {
     phone: Phone,
     fault: Option<FaultPlan>,
     roster: Vec<usize>,
-    batch: Vec<usize>,
-    cold_ms: Vec<f64>,
-    steady_ms: Vec<f64>,
+    /// Per roster slot: the admitted batch, plan and window costs.
+    admitted: Vec<Admitted>,
+    /// The pooled arena slice fixed at build time (attach never regrows
+    /// it, mirroring the executing runtime).
     slice: usize,
-    weights: usize,
+}
+
+impl EstDevice {
+    fn batch(&self, slot: usize) -> usize {
+        self.admitted[slot].admission.batch.max(1)
+    }
+
+    /// Resident weight bytes: a streamed tenant charges its hot-set
+    /// grant, not its summed banks — mirrors the executing runtime.
+    fn weights(&self) -> usize {
+        self.admitted
+            .iter()
+            .map(|a| {
+                let w = a.plan.weights_bytes;
+                a.admission.weight_grant_bytes.map_or(w, |g| g.min(w))
+            })
+            .sum()
+    }
 }
 
 struct EstFleet<'a> {
@@ -1556,7 +1576,38 @@ impl<'a> EstFleet<'a> {
             .zip(self.devices.iter())
             .find(|(_, d)| d.phone.gpu.name == phone.gpu.name)
             .map(|(f, _)| *f);
-        have.unwrap_or_else(|| est_fit(self.workloads[tenant].arch, phone))
+        have.unwrap_or_else(|| {
+            FitEntry::of(
+                &ExecutionPlan::for_arch(self.workloads[tenant].arch, &phone.gpu),
+                phone,
+            )
+        })
+    }
+
+    /// Admits `roster` on `phone` under the fleet's paging budget, every
+    /// batch pinned when `pinned` is given (the post-attach refresh).
+    fn admit(&self, roster: &[usize], phone: &Phone, pinned: Option<&[usize]>) -> Vec<Admitted> {
+        let wb = self.paging.then(|| {
+            let arena1 = roster
+                .iter()
+                .map(|&t| self.fit_for(t, phone).arena1)
+                .max()
+                .unwrap_or(0);
+            device_weight_budget(phone.app_budget_bytes(), self.streams, arena1)
+        });
+        let asks: Vec<TenantAsk<'_>> = roster
+            .iter()
+            .enumerate()
+            .map(|(i, &t)| TenantAsk {
+                source: PlanSource::Arch(self.workloads[t].arch),
+                batch: pinned.map_or(self.workloads[t].batch, |p| Some(p[i])),
+                slo_ms: self.workloads[t].slo_ms,
+                overrides: RouteOverrides::default(),
+            })
+            .collect();
+        admit_and_model(&asks, phone, self.streams, wb)
+            .expect("placement guarantees the batch-1 pooled floor fits")
+            .0
     }
 
     fn build_device(
@@ -1566,96 +1617,21 @@ impl<'a> EstFleet<'a> {
         fault: Option<FaultPlan>,
         roster: Vec<usize>,
     ) -> EstDevice {
-        let wb = self.paging.then(|| {
-            let arena1 = roster
-                .iter()
-                .map(|&t| self.fit_for(t, &phone).arena1)
-                .max()
-                .unwrap_or(0);
-            device_weight_budget(phone.app_budget_bytes(), self.streams, arena1)
-        });
-        let (batch, cold_ms, steady_ms, slice, weights) =
-            est_admit(self.workloads, &roster, &phone, self.streams, None, wb);
+        let admitted = self.admit(&roster, &phone, None);
+        let slice = admitted
+            .iter()
+            .map(|a| a.plan.staged_arena_bytes())
+            .max()
+            .unwrap_or(0);
         EstDevice {
             id,
             phone,
             fault,
             roster,
-            batch,
-            cold_ms,
-            steady_ms,
+            admitted,
             slice,
-            weights,
         }
     }
-}
-
-/// Batch-1 footprint of an arch on a phone (analytic path).
-fn est_fit(arch: &NetworkArch, phone: &Phone) -> FitEntry {
-    let source = PlanSource::Arch(arch);
-    let plan = source
-        .plan_at(&phone.gpu, 1, RouteOverrides::default())
-        .expect("arch plans lower infallibly");
-    let extras = source.extras(&plan);
-    let (cold_s, _) = modeled_window_under(&plan, &extras, &phone.gpu, 1, None);
-    let banks = crate::paging::step_bank_bytes(&plan, &source.layer_weight_bytes(&plan));
-    FitEntry {
-        weights: plan.weights_bytes,
-        arena1: plan.staged_arena_bytes(),
-        solo_ms: cold_s * 1e3,
-        paged_floor: crate::paging::paged_floor_bytes(&banks),
-    }
-}
-
-/// Runs contention-aware admission for a device's placed subset and
-/// models every tenant's (cold, steady) window under the registered mix.
-/// `pinned` pins every tenant's batch (the post-attach refresh).
-fn est_admit(
-    workloads: &[OpenLoopWorkload<'_>],
-    roster: &[usize],
-    phone: &Phone,
-    streams: usize,
-    pinned: Option<&[usize]>,
-    weight_budget: Option<usize>,
-) -> (Vec<usize>, Vec<f64>, Vec<f64>, usize, usize) {
-    if roster.is_empty() {
-        return (Vec::new(), Vec::new(), Vec::new(), 0, 0);
-    }
-    let asks: Vec<TenantAsk<'_>> = roster
-        .iter()
-        .enumerate()
-        .map(|(i, &t)| TenantAsk {
-            source: PlanSource::Arch(workloads[t].arch),
-            batch: pinned.map_or(workloads[t].batch, |p| Some(p[i])),
-            slo_ms: workloads[t].slo_ms,
-            overrides: RouteOverrides::default(),
-        })
-        .collect();
-    let (admissions, mix, eff) = admit_tenants_budgeted(&asks, phone, streams, weight_budget)
-        .expect("placement guarantees the batch-1 pooled floor fits");
-    let mut batch = Vec::with_capacity(roster.len());
-    let mut cold_ms = Vec::with_capacity(roster.len());
-    let mut steady_ms = Vec::with_capacity(roster.len());
-    let mut slice = 0usize;
-    let mut weights = 0usize;
-    for (i, (&t, adm)) in roster.iter().zip(admissions.iter()).enumerate() {
-        let source = PlanSource::Arch(workloads[t].arch);
-        let plan = source
-            .plan_at(&phone.gpu, adm.batch, eff[i])
-            .expect("arch plans lower infallibly");
-        let extras = source.extras(&plan);
-        let (c, s) = modeled_window_under(&plan, &extras, &phone.gpu, streams, mix.as_deref());
-        batch.push(adm.batch.max(1));
-        cold_ms.push(c * 1e3);
-        steady_ms.push(s * 1e3);
-        slice = slice.max(plan.staged_arena_bytes());
-        // A streamed tenant charges its hot-set grant, not its summed
-        // banks — mirrors the executing runtime's resident footprint.
-        weights += adm
-            .weight_grant_bytes
-            .map_or(plan.weights_bytes, |g| g.min(plan.weights_bytes));
-    }
-    (batch, cold_ms, steady_ms, slice, weights)
 }
 
 impl RouteSubstrate for EstFleet<'_> {
@@ -1670,7 +1646,7 @@ impl RouteSubstrate for EstFleet<'_> {
             .iter()
             .position(|&t| t == tenant)
             .expect("service_ms is only asked for hosted tenants");
-        dev.steady_ms[slot] / dev.batch[slot] as f64
+        dev.admitted[slot].steady_s * 1e3 / dev.batch(slot) as f64
     }
 
     fn can_host(&self, device: usize, tenant: usize) -> bool {
@@ -1681,13 +1657,13 @@ impl RouteSubstrate for EstFleet<'_> {
         let fit = self.fit[tenant]
             .get(device)
             .copied()
-            .unwrap_or_else(|| est_fit(self.workloads[tenant].arch, &dev.phone));
+            .unwrap_or_else(|| self.fit_for(tenant, &dev.phone));
         let budget = dev.phone.app_budget_bytes();
         let need = fit.placed_weights(self.paging);
         if dev.roster.is_empty() {
             need + self.streams * fit.arena1 <= budget
         } else {
-            fit.arena1 <= dev.slice && dev.weights + self.streams * dev.slice + need <= budget
+            fit.arena1 <= dev.slice && dev.weights() + self.streams * dev.slice + need <= budget
         }
     }
 
@@ -1717,32 +1693,15 @@ impl RouteSubstrate for EstFleet<'_> {
         if cap == 0 {
             return false;
         }
-        let mut roster = self.devices[device].roster.clone();
-        let mut pinned = self.devices[device].batch.clone();
+        let dev = &self.devices[device];
+        let mut roster = dev.roster.clone();
+        let mut pinned: Vec<usize> = (0..roster.len()).map(|slot| dev.batch(slot)).collect();
         roster.push(tenant);
         pinned.push(self.workloads[tenant].batch.unwrap_or(cap).clamp(1, cap));
-        let wb = self.paging.then(|| {
-            let arena1 = roster
-                .iter()
-                .map(|&t| self.fit_for(t, &phone).arena1)
-                .max()
-                .unwrap_or(0);
-            device_weight_budget(phone.app_budget_bytes(), self.streams, arena1)
-        });
-        let (batch, cold_ms, steady_ms, _slice, weights) = est_admit(
-            self.workloads,
-            &roster,
-            &phone,
-            self.streams,
-            Some(&pinned),
-            wb,
-        );
+        let admitted = self.admit(&roster, &phone, Some(&pinned));
         let dev = &mut self.devices[device];
         dev.roster = roster;
-        dev.batch = batch;
-        dev.cold_ms = cold_ms;
-        dev.steady_ms = steady_ms;
-        dev.weights = weights;
+        dev.admitted = admitted;
         true
     }
 
@@ -1802,7 +1761,12 @@ pub fn estimate_fleet(
         .collect();
     let fit: Vec<Vec<FitEntry>> = workloads
         .iter()
-        .map(|w| devices.iter().map(|d| est_fit(w.arch, &d.phone)).collect())
+        .map(|w| {
+            devices
+                .iter()
+                .map(|d| FitEntry::of(&ExecutionPlan::for_arch(w.arch, &d.phone.gpu), &d.phone))
+                .collect()
+        })
         .collect();
     let budgets: Vec<usize> = devices.iter().map(|d| d.phone.app_budget_bytes()).collect();
     let placement = place_tenants(
@@ -1854,9 +1818,9 @@ pub fn estimate_fleet(
                 .map(|(slot, &t)| {
                     let eff: Vec<f64> = rc.routed[d][t].iter().map(|r| r.effective_ms).collect();
                     OpenLoopLoad {
-                        windows: open_loop_windows(&eff, dev.batch[slot], workloads[t].slo_ms),
-                        cold_ms: dev.cold_ms[slot],
-                        steady_ms: dev.steady_ms[slot],
+                        windows: open_loop_windows(&eff, dev.batch(slot), workloads[t].slo_ms),
+                        cold_ms: dev.admitted[slot].cold_s * 1e3,
+                        steady_ms: dev.admitted[slot].steady_s * 1e3,
                     }
                 })
                 .collect();
@@ -1876,7 +1840,7 @@ pub fn estimate_fleet(
                 fold_device_fates(
                     d,
                     &rc.routed[d][t],
-                    dev.batch[slot],
+                    dev.batch(slot),
                     &schedule.fates[slot],
                     None,
                     &mut fates[t],

@@ -245,6 +245,19 @@ impl<'a> Reader<'a> {
         }
     }
 
+    /// `n` items of `size` bytes each, checked (overflow included)
+    /// against the bytes left — so a corrupt count is rejected before
+    /// anything is allocated for it.
+    fn bounded(&self, field: &str, n: usize, size: usize) -> Result<usize, FormatError> {
+        match n.checked_mul(size) {
+            Some(bytes) if bytes <= self.buf.remaining() => Ok(n),
+            _ => Err(FormatError::BadData(format!(
+                "{field}: {n} items of {size} bytes exceed the {} bytes left",
+                self.buf.remaining()
+            ))),
+        }
+    }
+
     fn u8(&mut self) -> Result<u8, FormatError> {
         self.need(1)?;
         Ok(self.buf.get_u8())
@@ -300,7 +313,8 @@ impl<'a> Reader<'a> {
 
     fn f32s(&mut self) -> Result<Vec<f32>, FormatError> {
         let len = self.u32()?;
-        let mut out = Vec::with_capacity(len.min(1 << 20));
+        let len = self.bounded("f32 array length", len, 4)?;
+        let mut out = Vec::with_capacity(len);
         for _ in 0..len {
             out.push(self.f32()?);
         }
@@ -310,15 +324,25 @@ impl<'a> Reader<'a> {
     fn packed(&mut self) -> Result<PackedFilters<u64>, FormatError> {
         let (k, kh, kw, c) = (self.u32()?, self.u32()?, self.u32()?, self.u32()?);
         let words = self.u32()?;
-        let shape = FilterShape::new(k, kh, kw, c);
-        let mut p = PackedFilters::<u64>::zeros(shape);
-        if p.as_words().len() != words {
+        // Every extent is at least 1, so the per-filter and per-tap tables
+        // `zeros` sizes are no longer than `words`, which is bounded by
+        // the payload before anything is allocated.
+        if [k, kh, kw, c].contains(&0) {
             return Err(FormatError::BadData(format!(
-                "packed filter words {} != expected {}",
-                words,
-                p.as_words().len()
+                "packed filter shape {k}x{kh}x{kw}x{c} has a zero extent"
             )));
         }
+        let expected = k
+            .checked_mul(kh)
+            .and_then(|t| t.checked_mul(kw))
+            .and_then(|t| t.checked_mul(c.div_ceil(64)));
+        if expected != Some(words) {
+            return Err(FormatError::BadData(format!(
+                "packed filter words {words} do not match shape {k}x{kh}x{kw}x{c}"
+            )));
+        }
+        let words = self.bounded("packed filter words", words, 8)?;
+        let mut p = PackedFilters::<u64>::zeros(FilterShape::new(k, kh, kw, c));
         let mut data = Vec::with_capacity(words);
         for _ in 0..words {
             data.push(self.u64()?);
@@ -369,9 +393,17 @@ impl<'a> Reader<'a> {
 
     fn filters(&mut self) -> Result<Filters, FormatError> {
         let (k, kh, kw, c) = (self.u32()?, self.u32()?, self.u32()?, self.u32()?);
+        let len = k
+            .checked_mul(kh)
+            .and_then(|t| t.checked_mul(kw))
+            .and_then(|t| t.checked_mul(c))
+            .ok_or_else(|| {
+                FormatError::BadData(format!("float filter shape {k}x{kh}x{kw}x{c} overflows"))
+            })?;
+        let len = self.bounded("float filter values", len, 4)?;
         let shape = FilterShape::new(k, kh, kw, c);
-        let mut data = Vec::with_capacity(shape.len());
-        for _ in 0..shape.len() {
+        let mut data = Vec::with_capacity(len);
+        for _ in 0..len {
             data.push(self.f32()?);
         }
         Ok(Filters::from_vec(shape, data))
@@ -573,6 +605,55 @@ mod tests {
         for cut in 0..payload.len() {
             let r = read_model(&payload[..cut]);
             assert!(r.is_err(), "truncation at {cut} silently succeeded");
+        }
+    }
+
+    #[test]
+    fn corrupt_lengths_are_rejected_before_allocating() {
+        // Every byte set to 0xff or 0x7f in turn: shape and count fields
+        // then claim up to hundreds of gigabytes. Each mutant must decode
+        // to a result — an allocation sized from the field would abort.
+        let payload = write_model(&sample_model());
+        for i in 0..payload.len() {
+            for v in [0xff, 0x7f] {
+                let mut mutant = payload.clone();
+                mutant[i] = v;
+                let _ = read_model(&mutant);
+            }
+        }
+        // Hand-built single-layer payloads whose filter headers claim
+        // huge (or overflowing) extents, with `words` agreeing with the
+        // claimed shape so only the bound can reject them.
+        let header = |tag: u8, dims: [u32; 4], words: Option<u32>| {
+            let mut out = Vec::new();
+            out.put_slice(MAGIC);
+            out.put_u16_le(FORMAT_VERSION);
+            put_string(&mut out, "huge");
+            put_shape(&mut out, Shape4::new(1, 8, 8, 64));
+            out.put_u32_le(1);
+            out.put_u8(tag);
+            put_string(&mut out, "conv");
+            put_geom(&mut out, &ConvGeometry::square(3, 1, 1));
+            for d in dims {
+                out.put_u32_le(d);
+            }
+            if let Some(w) = words {
+                out.put_u32_le(w);
+            }
+            out
+        };
+        for payload in [
+            header(2, [1 << 20, 3, 3, 64], Some(9 << 20)),
+            header(2, [u32::MAX, u32::MAX, 3, 64], Some(u32::MAX)),
+            header(2, [u32::MAX, 0, 3, 64], Some(0)),
+            header(3, [1 << 20, 3, 3, 64], None),
+            header(3, [u32::MAX, u32::MAX, u32::MAX, 64], None),
+        ] {
+            assert!(
+                matches!(read_model(&payload), Err(FormatError::BadData(_))),
+                "{:?}",
+                read_model(&payload)
+            );
         }
     }
 

@@ -15,14 +15,20 @@
 //!    device's memory budget and runs inference with per-layer timing.
 //!
 //! [`estimate::estimate_arch`] reproduces the engine's exact dispatch
-//! sequence from shapes alone, for full-scale benchmarking; [`planner`]
+//! sequence from shapes alone, for full-scale benchmarking, and
+//! [`estimate::estimate_arch_with`] adds a batch and the ablation knobs.
+//! The lowered [`plan::ExecutionPlan`] carries every cost input the
+//! estimator needs — each float conv's fused activation epilogue on its
+//! [`plan::StepOp::FConv`] and each layer's staged weight bytes on
+//! [`plan::ExecutionPlan::staged_layer_bytes`] — so the engine and the
+//! estimator charge the same plan and nothing travels beside it; [`planner`]
 //! computes deployed memory footprints; [`builder::NetworkBuilder`] is the
 //! Fig-3-style construction API.
 //!
 //! For serving-scale throughput, [`Session::new_batched`](engine::Session::new_batched)
 //! stages the same weights once and runs whole request windows — one
 //! batch-covering dispatch per kernel over a double-banked arena;
-//! [`estimate::estimate_arch_batched`] models it at full scale and
+//! [`estimate::estimate_arch_with`] models it at full scale and
 //! [`planner::plan_on_batched`] / [`planner::max_feasible_batch`] size the
 //! batched deployment against a phone's budget.
 //!
@@ -30,7 +36,10 @@
 //! heterogeneous models as tenants on one device: a pooled arena
 //! ([`planner::plan_multitenant`]), a work-stealing window scheduler
 //! ([`serve::schedule_windows`]), and contention-aware per-tenant
-//! admission against the other tenants' registered dispatch mix.
+//! admission against the other tenants' registered dispatch mix. One
+//! admit-and-model step returns each tenant's admission, plan and window
+//! costs: the runtime stages exactly those plans, and the serving and
+//! fleet estimators schedule exactly those costs.
 //! [`serve::ServeRuntime`] is the single-tenant wrapper.
 //!
 //! For robustness, the runtime also serves **open-loop**: requests arrive
@@ -68,10 +77,7 @@ pub use convert::convert;
 pub use engine::{
     ActivationData, EngineError, MultiStream, ResidencyManager, Session, StagedModel, Stream,
 };
-pub use estimate::{
-    estimate_arch, estimate_arch_batched, estimate_arch_batched_opts, estimate_arch_opts,
-    EstimateOptions,
-};
+pub use estimate::{estimate_arch, estimate_arch_with, EstimateOptions};
 pub use fleet::{
     estimate_fleet, zipf_rates, Fleet, FleetAction, FleetDeviceReport, FleetDeviceSpec, FleetEvent,
     FleetMigration, FleetOptions, FleetOutcome, FleetReport, FleetRequestFate, FleetTenantReport,

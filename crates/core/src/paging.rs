@@ -231,11 +231,13 @@ impl PagingSchedule {
     }
 }
 
-/// Maps per-*layer* weight-bank bytes onto per-*step* banks: fused groups
-/// page their member layers' banks as one unit (the chain dispatches
-/// once, so its banks must all be resident together); every other step
-/// keys its original layer.
-pub(crate) fn step_bank_bytes(plan: &ExecutionPlan, layer_bytes: &[usize]) -> Vec<usize> {
+/// Maps the plan's per-*layer* staged bank bytes
+/// ([`ExecutionPlan::staged_layer_bytes`]) onto per-*step* banks: fused
+/// groups page their member layers' banks as one unit (the chain
+/// dispatches once, so its banks must all be resident together); every
+/// other step keys its original layer.
+pub(crate) fn step_bank_bytes(plan: &ExecutionPlan) -> Vec<usize> {
+    let layer_bytes = &plan.staged_layer_bytes;
     plan.steps
         .iter()
         .map(|step| match &step.op {

@@ -26,7 +26,7 @@
 //!   the *sum of slots*, not the sum of layers.
 //!
 //! The engine (`Session`), the full-scale estimator
-//! ([`estimate_arch_opts`](crate::estimate::estimate_arch_opts)), the
+//! ([`estimate_arch_with`](crate::estimate::estimate_arch_with)), the
 //! memory planner ([`planner::plan`](crate::planner::plan)) and the
 //! `ablation` binary all consume this one plan, so the estimator walks the
 //! exact steps the engine executes and `resident_bytes` reports arena-true
@@ -72,6 +72,7 @@
 use std::sync::Arc;
 
 use phonebit_gpusim::DeviceProfile;
+use phonebit_nn::act::Activation;
 use phonebit_nn::graph::{LayerPrecision, LayerSpec, NetworkArch, PoolKind};
 use phonebit_nn::kernels::fused::{conv_chain_profile, dense_pair_profile, ChainAbsorb};
 use phonebit_nn::kernels::{bgemm, profiles};
@@ -177,6 +178,9 @@ pub enum StepOp {
         geom: ConvGeometry,
         /// Output channels.
         k: usize,
+        /// Fused activation epilogue, charged at
+        /// `out_shape.len() × ops_per_element()` f32 ops.
+        activation: Activation,
     },
     /// Bitwise-OR max pooling over packed activations.
     MaxPoolBits {
@@ -507,8 +511,15 @@ pub struct ExecutionPlan {
     /// Resident packed weight bytes — net of dictionary compression: each
     /// layer whose [`CompressDecision`] compressed stages its dictionary +
     /// indices instead of the raw bank, so admission and placement see the
-    /// compressed footprint.
+    /// compressed footprint. The sum of
+    /// [`ExecutionPlan::staged_layer_bytes`].
     pub weights_bytes: usize,
+    /// Staged weight-bank bytes per original layer (keyed like
+    /// [`PlanStep::index`] and [`FusedMember::layer`]; 0 for weightless
+    /// layers): a compressed bank at its dictionary + indices size. The
+    /// engine allocates exactly these banks and the paging schedule
+    /// streams them.
+    pub staged_layer_bytes: Vec<usize>,
     /// Images per inference window: every value's `n` extent carries it.
     pub batch: usize,
     /// Arena banks the engine stages: 1 for single-image plans, 2 for
@@ -587,7 +598,7 @@ impl ExecutionPlan {
                     let op = match c.precision {
                         LayerPrecision::BinaryInput8 => OpDesc::ConvBinInput8,
                         LayerPrecision::Binary => OpDesc::ConvBin,
-                        LayerPrecision::Float => OpDesc::ConvFloat,
+                        LayerPrecision::Float => OpDesc::ConvFloat(c.activation),
                     };
                     LayerDesc {
                         name: c.name.clone(),
@@ -637,18 +648,13 @@ impl ExecutionPlan {
             // Shape-level archs carry no weights, so there is nothing to
             // dictionary-compress: arch plans are identical across modes.
             &[],
-            arch.binary_bytes(),
+            arch.binary_layer_bytes(),
             device,
             overrides,
             batch,
         )
         .unwrap_or_else(|e| panic!("{}: {e}", arch.name));
-        plan.attach_paging(
-            &arch.binary_layer_bytes(),
-            device,
-            overrides,
-            &crate::estimate::activation_extras_arch(&plan, arch),
-        );
+        plan.attach_paging(device, overrides);
         plan
     }
 
@@ -734,10 +740,11 @@ impl ExecutionPlan {
                     name,
                     geom,
                     filters,
+                    activation,
                     ..
                 } => LayerDesc {
                     name: name.clone(),
-                    op: OpDesc::ConvFloat,
+                    op: OpDesc::ConvFloat(*activation),
                     geom: *geom,
                     k: filters.shape().k,
                     pool: (0, 0),
@@ -813,30 +820,12 @@ impl ExecutionPlan {
             model.input,
             &descs,
             &comps,
-            model.size_bytes(),
+            model.layers.iter().map(PbitLayer::param_bytes).collect(),
             device,
             overrides,
             batch,
         )?;
-        // Banks page at their *staged* size: layers whose dictionary form
-        // won stream the dictionary + indices, not the raw bank — the same
-        // bytes the engine allocates.
-        let layer_bytes: Vec<usize> = model
-            .layers
-            .iter()
-            .enumerate()
-            .map(|(i, layer)| {
-                layer
-                    .param_bytes()
-                    .saturating_sub(plan.compress_decision(i).map_or(0, |d| d.saved_bytes()))
-            })
-            .collect();
-        plan.attach_paging(
-            &layer_bytes,
-            device,
-            overrides,
-            &crate::estimate::activation_extras_model(&plan, model),
-        );
+        plan.attach_paging(device, overrides);
         Ok(plan)
     }
 
@@ -911,18 +900,12 @@ impl ExecutionPlan {
     /// stall against the device's upload lane. Runs exactly once per
     /// lowering, while `paging` is still `None`, so the duration walk
     /// charges no stalls itself.
-    fn attach_paging(
-        &mut self,
-        layer_bytes: &[usize],
-        device: &DeviceProfile,
-        overrides: RouteOverrides,
-        extras: &[f64],
-    ) {
+    fn attach_paging(&mut self, device: &DeviceProfile, overrides: RouteOverrides) {
         let Some(budget) = overrides.weight_budget else {
             return;
         };
         debug_assert!(self.paging.is_none());
-        let banks = paging::step_bank_bytes(self, layer_bytes);
+        let banks = paging::step_bank_bytes(self);
         let mut q = phonebit_gpusim::queue::CommandQueue::new(
             device.clone(),
             phonebit_gpusim::ExecutorClass::PhoneBitOpenCl,
@@ -933,7 +916,7 @@ impl ExecutionPlan {
             fusion: overrides.fusion,
             ..crate::estimate::EstimateOptions::default()
         };
-        let durations: Vec<f64> = crate::estimate::walk_plan(&mut q, self, extras, opts)
+        let durations: Vec<f64> = crate::estimate::walk_plan(&mut q, self, opts)
             .iter()
             .map(|l| l.time_s)
             .collect();
@@ -965,11 +948,11 @@ impl Domain {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum OpDesc {
     ConvBinInput8,
     ConvBin,
-    ConvFloat,
+    ConvFloat(Activation),
     Pool,
     DenseBin,
     DenseFloat,
@@ -994,15 +977,15 @@ fn lower(
     input: Shape4,
     descs: &[LayerDesc],
     comps: &[Option<LayerCompression>],
-    weights_bytes: usize,
+    mut staged_layer_bytes: Vec<usize>,
     device: &DeviceProfile,
     overrides: RouteOverrides,
     batch: usize,
 ) -> Result<ExecutionPlan, PlanDomainError> {
     assert!(batch >= 1, "batch must be at least 1");
-    // Compressed banks shrink the resident weights below; decisions are
-    // recorded per layer so the engine stages exactly what is subtracted.
-    let mut weights_bytes = weights_bytes;
+    // Compressed banks shrink their layer's staged bytes below; decisions
+    // are recorded per layer so the engine stages exactly what is
+    // subtracted.
     let mut compression: Vec<CompressDecision> = Vec::new();
     // The batch folds into the `n` extent of every value: kernels process
     // the whole window in one dispatch, so routes and slots are sized at
@@ -1132,7 +1115,8 @@ fn lower(
                     };
                     let compressed = stats.wins();
                     if compressed {
-                        weights_bytes = weights_bytes.saturating_sub(stats.saved_bytes());
+                        staged_layer_bytes[i] =
+                            staged_layer_bytes[i].saturating_sub(stats.saved_bytes());
                     }
                     compression.push(CompressDecision {
                         layer: i,
@@ -1175,7 +1159,7 @@ fn lower(
                     Domain::Bits,
                 )
             }
-            OpDesc::ConvFloat => {
+            OpDesc::ConvFloat(activation) => {
                 if domain == Domain::Bytes {
                     return Err(err(desc, "floats"));
                 }
@@ -1194,6 +1178,7 @@ fn lower(
                     StepOp::FConv {
                         geom: desc.geom,
                         k: desc.k,
+                        activation,
                     },
                     Shape4::new(in_shape.n, oh, ow, desc.k),
                     Domain::Floats,
@@ -1343,14 +1328,14 @@ fn lower(
         steps,
         values,
         slots,
-        weights_bytes,
+        weights_bytes: staged_layer_bytes.iter().sum(),
+        staged_layer_bytes,
         batch,
         banks,
         chains,
         compression,
-        // Attached by the lowering entry points once per-layer bank bytes
-        // are known (they are source-specific: archs derive them from
-        // shapes, models from staged parameters net of compression).
+        // Attached by the lowering entry points: the schedule's duration
+        // walk needs the finished (fused, slotted) plan.
         paging: None,
     })
 }

@@ -61,7 +61,7 @@ use phonebit_tensor::tensor::Tensor;
 
 use crate::arrival::ArrivalProcess;
 use crate::engine::{ActivationData, EngineError, MultiStream, StagedModel};
-use crate::estimate::{activation_extras_arch, activation_extras_model, walk_plan};
+use crate::estimate::walk_plan;
 use crate::model::PbitModel;
 use crate::plan::{ExecutionPlan, RouteOverrides};
 use crate::stats::RunReport;
@@ -681,34 +681,6 @@ impl PlanSource<'_> {
             )),
         }
     }
-
-    pub(crate) fn extras(&self, plan: &ExecutionPlan) -> Vec<f64> {
-        match self {
-            PlanSource::Model(m) => activation_extras_model(plan, m),
-            PlanSource::Arch(a) => activation_extras_arch(plan, a),
-        }
-    }
-
-    /// Per-layer binary weight-bank bytes as staged — dictionary-compressed
-    /// banks at their compressed size — indexed by layer. Must mirror the
-    /// accounting [`ExecutionPlan`] uses when attaching a paging schedule,
-    /// so the floors the admission controller grants are exactly the
-    /// budgets the lowered plans stream under.
-    pub(crate) fn layer_weight_bytes(&self, plan: &ExecutionPlan) -> Vec<usize> {
-        match self {
-            PlanSource::Model(m) => m
-                .layers
-                .iter()
-                .enumerate()
-                .map(|(i, layer)| {
-                    layer
-                        .param_bytes()
-                        .saturating_sub(plan.compress_decision(i).map_or(0, |d| d.saved_bytes()))
-                })
-                .collect(),
-            PlanSource::Arch(a) => a.binary_layer_bytes(),
-        }
-    }
 }
 
 /// One tenant's ask, as the admission controller sees it. Crate-visible so
@@ -726,11 +698,11 @@ pub(crate) struct TenantAsk<'a> {
 /// and read back the busy-weighted mean CU fraction and the device-busy
 /// duty cycle over the window (host gaps — launch and framework overhead —
 /// leave the device free).
-fn measure_load(plan: &ExecutionPlan, extras: &[f64], gpu: &DeviceProfile) -> QueueLoad {
+fn measure_load(plan: &ExecutionPlan, gpu: &DeviceProfile) -> QueueLoad {
     let clock = DeviceClock::new(gpu.clone());
     let mut q = CommandQueue::new(gpu.clone(), ExecutorClass::PhoneBitOpenCl)
         .with_clock(Arc::clone(&clock));
-    let _ = walk_plan(&mut q, plan, extras, crate::EstimateOptions::default());
+    let _ = walk_plan(&mut q, plan, crate::EstimateOptions::default());
     let wall = q.elapsed_s() + q.per_run_overhead_s();
     QueueLoad {
         cu_frac: clock.mean_cu_frac(),
@@ -767,7 +739,6 @@ fn aggregate_load(loads: &[QueueLoad]) -> QueueLoad {
 /// window (double buffering), batch-1 single-bank streams never prime.
 pub(crate) fn modeled_window_under(
     plan: &ExecutionPlan,
-    extras: &[f64],
     gpu: &DeviceProfile,
     streams: usize,
     mix: Option<&[QueueLoad]>,
@@ -777,7 +748,7 @@ pub(crate) fn modeled_window_under(
         clock.set_mix(Some(m.to_vec()));
     }
     let mut q = CommandQueue::new(gpu.clone(), ExecutorClass::PhoneBitOpenCl).with_clock(clock);
-    let _ = walk_plan(&mut q, plan, extras, crate::EstimateOptions::default());
+    let _ = walk_plan(&mut q, plan, crate::EstimateOptions::default());
     let busy = q.elapsed_s();
     let cold = busy + q.per_run_overhead_s();
     let steady = if plan.batch > 1 { busy } else { cold };
@@ -809,33 +780,37 @@ fn admission_candidates(max_feasible: usize) -> Vec<usize> {
 
 /// The mix a co-resident registry registers on the shared clock: each of
 /// the `streams − 1` *other* queues is expected to run the blend of every
-/// tenant's measured [`QueueLoad`] at the given batches. `None` for a
+/// tenant's measured [`QueueLoad`] under its current plan. `None` for a
 /// single tenant (the symmetric-streams model).
-fn measured_mix(
-    asks: &[TenantAsk<'_>],
-    batches: &[usize],
-    overrides: &[RouteOverrides],
+fn registered_mix<'a>(
+    plans: impl ExactSizeIterator<Item = &'a ExecutionPlan>,
     gpu: &DeviceProfile,
     streams: usize,
-) -> Result<Option<Vec<QueueLoad>>, EngineError> {
-    if asks.len() <= 1 {
-        return Ok(None);
+) -> Option<Vec<QueueLoad>> {
+    if plans.len() <= 1 {
+        return None;
     }
-    let loads: Vec<QueueLoad> = asks
-        .iter()
-        .zip(batches.iter().zip(overrides.iter()))
-        .map(|(a, (&b, &ov))| {
-            let plan = a.source.plan_at(gpu, b, ov)?;
-            Ok(measure_load(&plan, &a.source.extras(&plan), gpu))
-        })
-        .collect::<Result<_, EngineError>>()?;
-    Ok(Some(vec![
-        aggregate_load(&loads);
-        streams.saturating_sub(1)
-    ]))
+    let loads: Vec<QueueLoad> = plans.map(|p| measure_load(p, gpu)).collect();
+    Some(vec![aggregate_load(&loads); streams.saturating_sub(1)])
 }
 
-/// Contention-aware admission for a registry of co-resident tenants.
+/// One tenant as admitted: the decision, the effective overrides (asked
+/// overrides plus any residency grant), the plan lowered at the admitted
+/// batch under them, and that plan's (cold, steady) window seconds under
+/// the registered mix. The runtime stages exactly this plan and the
+/// estimators schedule exactly these window costs.
+pub(crate) struct Admitted {
+    pub(crate) admission: Admission,
+    pub(crate) overrides: RouteOverrides,
+    pub(crate) plan: ExecutionPlan,
+    pub(crate) cold_s: f64,
+    pub(crate) steady_s: f64,
+}
+
+/// Contention-aware admission for a registry of co-resident tenants,
+/// followed by the window model at the chosen batches — the one
+/// admit-and-model step behind [`DeviceRuntime`], the serving estimators
+/// and the fleet's analytic devices.
 ///
 /// Each tenant's memory cap comes from the **pooled** cross-tenant peak
 /// (`Σ weights + streams × max_tenant(banks × Σ slots)`) with every
@@ -847,28 +822,9 @@ fn measured_mix(
 /// single-model admission decisions are unchanged. Two fixed passes: the
 /// second re-measures loads at the first pass's chosen batches.
 ///
-/// Returns the per-tenant decisions plus the final registered mix
-/// (measured at the chosen batches) — the one the runtime installs on the
-/// clock and the estimators model windows under, so the three cannot
-/// drift.
-pub(crate) fn admit_tenants(
-    asks: &[TenantAsk<'_>],
-    phone: &Phone,
-    streams: usize,
-) -> Result<(Vec<Admission>, Option<Vec<QueueLoad>>), EngineError> {
-    let (admissions, mix, _) = admit_tenants_budgeted(asks, phone, streams, None)?;
-    Ok((admissions, mix))
-}
-
-/// What [`admit_tenants_budgeted`] hands the runtime: per-tenant
-/// decisions, the registered mix, and the effective overrides (asked
-/// overrides plus any residency grant) to lower and stage with.
-type BudgetedAdmission = (Vec<Admission>, Option<Vec<QueueLoad>>, Vec<RouteOverrides>);
-
-/// [`admit_tenants`] with an optional pooled **weight budget**: the bytes
-/// of binary weight banks allowed resident across all tenants at once.
-/// `None` keeps every tenant fully resident — the exact unpaged controller,
-/// byte for byte.
+/// An optional pooled **weight budget** bounds the bytes of binary weight
+/// banks resident across all tenants at once. `None` keeps every tenant
+/// fully resident — the exact unpaged controller, byte for byte.
 ///
 /// With a budget below the tenants' summed weights, residency grants are
 /// **tiered**: a tenant is fully resident (its overrides untouched, so its
@@ -889,18 +845,17 @@ type BudgetedAdmission = (Vec<Admission>, Option<Vec<QueueLoad>>, Vec<RouteOverr
 /// even the minima overflow the budget, the set is unservable —
 /// [`EngineError::OutOfMemory`].
 ///
-/// Returns the per-tenant decisions, the registered mix, and the
-/// **effective overrides** (asked overrides plus any
-/// [`RouteOverrides::weight_budget`] grant) the runtime must lower and
-/// stage with — window latencies were modeled under these, stalls
-/// included, so scheduler, estimator, and executor roll identical stall
-/// decisions.
-pub(crate) fn admit_tenants_budgeted(
+/// Returns one [`Admitted`] per tenant plus the registered mix at the
+/// chosen batches — the one the runtime installs on the clock. Plans are
+/// lowered under the **effective overrides** (asked overrides plus any
+/// [`RouteOverrides::weight_budget`] grant), stalls included, so
+/// scheduler, estimator, and executor roll identical stall decisions.
+pub(crate) fn admit_and_model(
     asks: &[TenantAsk<'_>],
     phone: &Phone,
     streams: usize,
     weight_budget: Option<usize>,
-) -> Result<BudgetedAdmission, EngineError> {
+) -> Result<(Vec<Admitted>, Option<Vec<QueueLoad>>), EngineError> {
     let gpu = &phone.gpu;
     let budget = phone.app_budget_bytes();
     let n = asks.len();
@@ -938,14 +893,7 @@ pub(crate) fn admit_tenants_budgeted(
             .sum();
         if resident_total > w_budget {
             let per_tenant_banks: Vec<Option<Vec<usize>>> = (0..n)
-                .map(|i| {
-                    (!pinned[i]).then(|| {
-                        crate::paging::step_bank_bytes(
-                            &base[i],
-                            &asks[i].source.layer_weight_bytes(&base[i]),
-                        )
-                    })
-                })
+                .map(|i| (!pinned[i]).then(|| crate::paging::step_bank_bytes(&base[i])))
                 .collect();
             let floors: Vec<usize> = (0..n)
                 .map(|i| match &per_tenant_banks[i] {
@@ -1053,16 +1001,21 @@ pub(crate) fn admit_tenants_budgeted(
             batches[i] = batches[i].min(cap.max(1));
         }
     }
+    let lower_at = |batches: &[usize]| -> Result<Vec<ExecutionPlan>, EngineError> {
+        asks.iter()
+            .zip(batches.iter().zip(eff.iter()))
+            .map(|(a, (&b, &ov))| a.source.plan_at(gpu, b, ov))
+            .collect()
+    };
     let mut admissions: Vec<Admission> = Vec::new();
     for _pass in 0..2 {
         // Measure every tenant's mix at the current batches, then blend.
-        let mix = measured_mix(asks, &batches, &eff, gpu, streams)?;
-        let slices: Vec<usize> = asks
+        let plans = lower_at(&batches)?;
+        let mix = registered_mix(plans.iter(), gpu, streams);
+        let slices: Vec<usize> = plans
             .iter()
-            .enumerate()
-            .zip(batches.iter())
-            .map(|((i, a), &b)| Ok(a.source.plan_at(gpu, b, eff[i])?.staged_arena_bytes()))
-            .collect::<Result<_, EngineError>>()?;
+            .map(ExecutionPlan::staged_arena_bytes)
+            .collect();
 
         admissions.clear();
         for (i, ask) in asks.iter().enumerate() {
@@ -1089,9 +1042,7 @@ pub(crate) fn admit_tenants_budgeted(
             }
             let window_ms = |b: usize| -> Result<f64, EngineError> {
                 let plan = ask.source.plan_at(gpu, b, eff[i])?;
-                let extras = ask.source.extras(&plan);
-                let (_, steady) =
-                    modeled_window_under(&plan, &extras, gpu, streams, mix.as_deref());
+                let (_, steady) = modeled_window_under(&plan, gpu, streams, mix.as_deref());
                 Ok(steady * 1e3)
             };
             let (batch, modeled) = match (ask.batch, ask.slo_ms) {
@@ -1138,9 +1089,25 @@ pub(crate) fn admit_tenants_budgeted(
         }
     }
     // The mix the runtime registers and the estimators model under: the
-    // blend at the *chosen* batches.
-    let mix = measured_mix(asks, &batches, &eff, gpu, streams)?;
-    Ok((admissions, mix, eff))
+    // blend at the *chosen* batches, whose plans every caller then uses.
+    let plans = lower_at(&batches)?;
+    let mix = registered_mix(plans.iter(), gpu, streams);
+    let admitted = admissions
+        .into_iter()
+        .zip(eff)
+        .zip(plans)
+        .map(|((admission, overrides), plan)| {
+            let (cold_s, steady_s) = modeled_window_under(&plan, gpu, streams, mix.as_deref());
+            Admitted {
+                admission,
+                overrides,
+                plan,
+                cold_s,
+                steady_s,
+            }
+        })
+        .collect();
+    Ok((admitted, mix))
 }
 
 // ---------------------------------------------------------------------------
@@ -1516,7 +1483,6 @@ impl DeviceRuntime {
     ) -> Result<Self, EngineError> {
         assert!(!specs.is_empty(), "a device runtime needs >= 1 tenant");
         assert!(streams >= 1, "a device runtime needs >= 1 stream");
-        let gpu = &phone.gpu;
         let asks: Vec<TenantAsk<'_>> = specs
             .iter()
             .map(|s| TenantAsk {
@@ -1527,32 +1493,24 @@ impl DeviceRuntime {
             })
             .collect();
         // Admission also hands back the registered mix at the chosen
-        // batches (None for a single tenant: symmetric) and the effective
-        // overrides — asked overrides plus any paged-residency grant —
-        // that every staged plan below must be lowered with.
-        let (admissions, mix, eff) = admit_tenants_budgeted(&asks, phone, streams, weight_budget)?;
+        // batches (None for a single tenant: symmetric) and every tenant's
+        // admitted plan, which is staged as-is.
+        let (admitted, mix) = admit_and_model(&asks, phone, streams, weight_budget)?;
 
-        let ctx = Context::new(gpu.clone(), phone.app_budget_bytes());
-        let clock = DeviceClock::with_streams(gpu.clone(), streams);
-        clock.set_mix(mix.clone());
+        let ctx = Context::new(phone.gpu.clone(), phone.app_budget_bytes());
+        let clock = DeviceClock::with_streams(phone.gpu.clone(), streams);
+        clock.set_mix(mix);
 
         let mut tenants = Vec::with_capacity(specs.len());
-        for ((spec, admission), overrides) in specs.into_iter().zip(admissions).zip(eff) {
-            let slo_ms = spec.slo_ms;
-            let name = spec.name;
-            let staged =
-                StagedModel::stage_with_opts(spec.model, ctx.clone(), admission.batch, overrides)?;
-            let extras = activation_extras_model(staged.plan(), staged.model());
-            let (cold_s, steady_s) =
-                modeled_window_under(staged.plan(), &extras, gpu, streams, mix.as_deref());
+        for (spec, a) in specs.into_iter().zip(admitted) {
             tenants.push(Tenant {
-                name,
-                staged,
-                admission,
-                slo_ms,
-                overrides,
-                cold_ms: cold_s * 1e3,
-                steady_ms: steady_s * 1e3,
+                name: spec.name,
+                staged: StagedModel::stage_plan(spec.model, a.plan, ctx.clone())?,
+                admission: a.admission,
+                slo_ms: spec.slo_ms,
+                overrides: a.overrides,
+                cold_ms: a.cold_s * 1e3,
+                steady_ms: a.steady_s * 1e3,
             });
         }
 
@@ -1753,7 +1711,7 @@ impl DeviceRuntime {
                 .drain(..)
                 .map(|o| o.expect("every request windowed"))
                 .collect();
-            let (p50_ms, p95_ms, p99_ms) = percentiles(&latency_ms[t]);
+            let (p50_ms, p95_ms, p99_ms, _) = percentiles(&latency_ms[t]);
             served_total += outputs.len();
             windows_total += windows[t].len();
             tenants.push(TenantServeReport {
@@ -1792,26 +1750,13 @@ impl DeviceRuntime {
     /// bookkeeping shared by live attach/detach and shed-triggered
     /// replans.
     fn refresh_mix(&mut self) {
-        let gpu = self.phone.gpu.clone();
+        let gpu = &self.phone.gpu;
         let streams = self.streams.len();
-        let mix = if self.tenants.len() <= 1 {
-            None
-        } else {
-            let loads: Vec<QueueLoad> = self
-                .tenants
-                .iter()
-                .map(|t| {
-                    let extras = activation_extras_model(t.staged.plan(), t.staged.model());
-                    measure_load(t.staged.plan(), &extras, &gpu)
-                })
-                .collect();
-            Some(vec![aggregate_load(&loads); streams.saturating_sub(1)])
-        };
+        let mix = registered_mix(self.tenants.iter().map(|t| t.staged.plan()), gpu, streams);
         self.clock.set_mix(mix.clone());
         for t in &mut self.tenants {
-            let extras = activation_extras_model(t.staged.plan(), t.staged.model());
             let (cold_s, steady_s) =
-                modeled_window_under(t.staged.plan(), &extras, &gpu, streams, mix.as_deref());
+                modeled_window_under(t.staged.plan(), gpu, streams, mix.as_deref());
             t.cold_ms = cold_s * 1e3;
             t.steady_ms = steady_s * 1e3;
             t.admission.modeled_window_ms = steady_s * 1e3;
@@ -1859,7 +1804,7 @@ impl DeviceRuntime {
     pub fn attach(&mut self, spec: TenantSpec) -> Result<usize, EngineError> {
         let streams = self.streams.len();
         let gpu = self.phone.gpu.clone();
-        let (admissions, eff) = {
+        let newcomer = {
             let mut asks: Vec<TenantAsk<'_>> = self
                 .tenants
                 .iter()
@@ -1879,15 +1824,11 @@ impl DeviceRuntime {
             // Survivors' asks carry their *effective* overrides (any paged
             // grant included), so their pinned contribution to the weight
             // budget is their hot-set grant, not their summed banks.
-            let (admissions, _, eff) =
-                admit_tenants_budgeted(&asks, &self.phone, streams, self.weight_budget)?;
-            (admissions, eff)
+            let (mut admitted, _) =
+                admit_and_model(&asks, &self.phone, streams, self.weight_budget)?;
+            admitted.pop().expect("newcomer admission")
         };
-        let mut admission = admissions
-            .into_iter()
-            .next_back()
-            .expect("newcomer admission");
-        let overrides = eff.last().copied().expect("newcomer overrides");
+        let (mut admission, overrides) = (newcomer.admission, newcomer.overrides);
         // Survivors keep their lanes: the newcomer must fit the existing
         // pooled slice, clamping its batch below the memory cap when the
         // slice binds first.
@@ -2150,65 +2091,44 @@ impl DeviceRuntime {
         let mut tenants_out = Vec::with_capacity(self.tenants.len());
         let mut served_total = 0usize;
         for (t, tenant) in self.tenants.iter().enumerate() {
-            let offered = arrivals_ms[t].len();
-            let mut outputs: Vec<Option<ActivationData>> = (0..offered).map(|_| None).collect();
-            let mut latency = Vec::new();
-            let mut shed_req = 0usize;
-            let mut windows_shed = 0usize;
-            for (i, fate) in schedule.fates[t].iter().enumerate() {
-                let (start, len) = windows[t][i];
-                match fate {
-                    WindowFate::Served { end_ms, .. } => {
-                        let k = winner[t][i].expect("served windows have a serving attempt");
-                        let report = reports[k].as_ref().expect("serving attempt executed");
-                        let out = report.output.as_ref().expect("serving captures outputs");
-                        for j in 0..len {
-                            outputs[start + j] = Some(out.image(j));
-                            latency.push(end_ms - arrivals_ms[t][start + j]);
-                        }
+            let batch = tenant.staged.plan().batch;
+            let mut outputs: Vec<Option<ActivationData>> =
+                (0..arrivals_ms[t].len()).map(|_| None).collect();
+            let tally = OpenLoopTally::fold(
+                &schedule,
+                t,
+                &arrivals_ms[t],
+                batch,
+                tenant.slo_ms,
+                |i, start, len| {
+                    let k = winner[t][i].expect("served windows have a serving attempt");
+                    let report = reports[k].as_ref().expect("serving attempt executed");
+                    let out = report.output.as_ref().expect("serving captures outputs");
+                    for j in 0..len {
+                        outputs[start + j] = Some(out.image(j));
                     }
-                    WindowFate::Shed { .. } => {
-                        shed_req += len;
-                        windows_shed += 1;
-                    }
-                }
-            }
-            let retries = schedule
-                .attempts
-                .iter()
-                .filter(|a| a.tenant == t && a.faulted)
-                .count();
-            let throttled = schedule
-                .attempts
-                .iter()
-                .filter(|a| a.tenant == t && a.slowdown > 1.0)
-                .count();
-            let (p50_ms, p95_ms, p99_ms, p999_ms) = percentiles_ext(&latency);
-            let served = offered - shed_req;
-            served_total += served;
+                },
+            );
+            served_total += tally.served;
             tenants_out.push(TenantOpenLoopReport {
                 name: tenant.name.clone(),
-                offered,
-                served,
-                shed: shed_req,
-                windows: windows[t].len(),
-                windows_shed,
-                retries,
-                throttled,
-                batch: tenant.staged.plan().batch,
+                offered: tally.offered,
+                served: tally.served,
+                shed: tally.shed,
+                windows: tally.windows,
+                windows_shed: tally.windows_shed,
+                retries: tally.retries,
+                throttled: tally.throttled,
+                batch,
                 outputs,
-                latency_ms: latency,
-                p50_ms,
-                p95_ms,
-                p99_ms,
-                p999_ms,
+                latency_ms: tally.latency_ms,
+                p50_ms: tally.p50_ms,
+                p95_ms: tally.p95_ms,
+                p99_ms: tally.p99_ms,
+                p999_ms: tally.p999_ms,
                 slo_ms: tenant.slo_ms,
-                slo_met: tenant.slo_ms.is_none_or(|slo| p95_ms <= slo),
-                shed_rate: if offered > 0 {
-                    shed_req as f64 / offered as f64
-                } else {
-                    0.0
-                },
+                slo_met: tally.slo_met,
+                shed_rate: tally.shed_rate,
             });
         }
         let horizon_ms = schedule.wall_ms.max(
@@ -2414,7 +2334,7 @@ impl ServeRuntime {
     fn flatten(mut report: MultiServeReport) -> ServeReport {
         let tenant = report.tenants.remove(0);
         let window_ms = tenant.duration_ms;
-        let (p50_ms, p95_ms, p99_ms) = percentiles(&window_ms);
+        let (p50_ms, p95_ms, p99_ms, _) = percentiles(&window_ms);
         let slo_ms = tenant.slo_ms;
         ServeReport {
             served: tenant.served,
@@ -2434,26 +2354,11 @@ impl ServeRuntime {
     }
 }
 
-/// Nearest-rank (p50, p95, p99) over an unsorted latency sample — one
-/// sort serves all three ranks; zeros for an empty sample.
-fn percentiles(samples_ms: &[f64]) -> (f64, f64, f64) {
-    if samples_ms.is_empty() {
-        return (0.0, 0.0, 0.0);
-    }
-    let mut sorted = samples_ms.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-    let at = |q: f64| {
-        let rank = (q * (sorted.len() - 1) as f64).round() as usize;
-        sorted[rank.min(sorted.len() - 1)]
-    };
-    (at(0.50), at(0.95), at(0.99))
-}
-
-/// Nearest-rank (p50, p95, p99, p99.9) — the open-loop reports carry the
-/// extra tail rank because fault retries live there; zeros for an empty
-/// sample. Crate-visible so the fleet layer aggregates its global latency
-/// distribution with the identical rank rule.
-pub(crate) fn percentiles_ext(samples_ms: &[f64]) -> (f64, f64, f64, f64) {
+/// Nearest-rank (p50, p95, p99, p99.9) over an unsorted latency sample —
+/// one sort serves every rank; zeros for an empty sample. The open-loop
+/// and fleet reports carry the p99.9 tail because fault retries live
+/// there; the closed-loop reports drop it.
+pub(crate) fn percentiles(samples_ms: &[f64]) -> (f64, f64, f64, f64) {
     if samples_ms.is_empty() {
         return (0.0, 0.0, 0.0, 0.0);
     }
@@ -2464,6 +2369,82 @@ pub(crate) fn percentiles_ext(samples_ms: &[f64]) -> (f64, f64, f64, f64) {
         sorted[rank.min(sorted.len() - 1)]
     };
     (at(0.50), at(0.95), at(0.99), at(0.999))
+}
+
+/// One tenant's outcome folded off an [`OpenLoopSchedule`]: the executing
+/// runtime and the estimator both count served, shed, retried and
+/// throttled work, and request latencies, through this one fold.
+struct OpenLoopTally {
+    offered: usize,
+    served: usize,
+    shed: usize,
+    windows: usize,
+    windows_shed: usize,
+    retries: usize,
+    throttled: usize,
+    latency_ms: Vec<f64>,
+    p50_ms: f64,
+    p95_ms: f64,
+    p99_ms: f64,
+    p999_ms: f64,
+    slo_met: bool,
+    shed_rate: f64,
+}
+
+impl OpenLoopTally {
+    /// Folds tenant `t`'s window fates. Window `i` holds requests
+    /// `i·batch ..` of `arrivals_ms` (the [`open_loop_windows`] grouping);
+    /// `on_served(i, start, len)` sees every served window.
+    fn fold(
+        schedule: &OpenLoopSchedule,
+        t: usize,
+        arrivals_ms: &[f64],
+        batch: usize,
+        slo_ms: Option<f64>,
+        mut on_served: impl FnMut(usize, usize, usize),
+    ) -> Self {
+        let offered = arrivals_ms.len();
+        let batch = batch.max(1);
+        let mut latency_ms = Vec::new();
+        let mut shed = 0usize;
+        let mut windows_shed = 0usize;
+        for (i, fate) in schedule.fates[t].iter().enumerate() {
+            let start = i * batch;
+            let len = batch.min(offered - start);
+            match fate {
+                WindowFate::Served { end_ms, .. } => {
+                    on_served(i, start, len);
+                    latency_ms.extend(arrivals_ms[start..start + len].iter().map(|a| end_ms - a));
+                }
+                WindowFate::Shed { .. } => {
+                    shed += len;
+                    windows_shed += 1;
+                }
+            }
+        }
+        let mine = || schedule.attempts.iter().filter(move |a| a.tenant == t);
+        let (p50_ms, p95_ms, p99_ms, p999_ms) = percentiles(&latency_ms);
+        OpenLoopTally {
+            offered,
+            served: offered - shed,
+            shed,
+            windows: schedule.fates[t].len(),
+            windows_shed,
+            retries: mine().filter(|a| a.faulted).count(),
+            throttled: mine().filter(|a| a.slowdown > 1.0).count(),
+            latency_ms,
+            p50_ms,
+            p95_ms,
+            p99_ms,
+            p999_ms,
+            slo_met: slo_ms.is_none_or(|slo| p95_ms <= slo),
+            shed_rate: if offered > 0 {
+                shed as f64 / offered as f64
+            } else {
+                0.0
+            },
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -2500,7 +2481,7 @@ pub struct ServeEstimate {
 /// Models a sharded serving run of `windows_per_stream` windows per stream
 /// (first window on each stream cold, the rest steady) on `phone`, at full
 /// scale from the architecture alone — the serving analogue of
-/// [`estimate_arch_batched`](crate::estimate_arch_batched). Window
+/// [`estimate_arch_with`](crate::estimate_arch_with). Window
 /// placement and the latency sample come from the same
 /// [`schedule_windows`] pass the runtime executes.
 ///
@@ -2516,8 +2497,7 @@ pub fn estimate_serve(
 ) -> ServeEstimate {
     assert!(streams >= 1 && windows_per_stream >= 1);
     let plan = ExecutionPlan::for_arch_batched(arch, &phone.gpu, batch);
-    let extras = activation_extras_arch(&plan, arch);
-    let (cold_s, steady_s) = modeled_window_under(&plan, &extras, &phone.gpu, streams, None);
+    let (cold_s, steady_s) = modeled_window_under(&plan, &phone.gpu, streams, None);
     let (cold, steady) = (cold_s * 1e3, steady_s * 1e3);
 
     let load = TenantLoad {
@@ -2529,7 +2509,7 @@ pub fn estimate_serve(
     let schedule = schedule_windows(&[load], streams);
     let window_ms: Vec<f64> = schedule.iter().map(|sw| sw.end_ms - sw.start_ms).collect();
     let arena_bytes = streams * plan.staged_arena_bytes();
-    let (p50_ms, p95_ms, p99_ms) = percentiles(&window_ms);
+    let (p50_ms, p95_ms, p99_ms, _) = percentiles(&window_ms);
     ServeEstimate {
         streams,
         batch,
@@ -2665,37 +2645,18 @@ pub fn estimate_serve_multitenant_budgeted(
             overrides: RouteOverrides::default(),
         })
         .collect();
-    let (admissions, mix, eff) = admit_tenants_budgeted(&asks, phone, streams, weight_budget)
+    let (admitted, _) = admit_and_model(&asks, phone, streams, weight_budget)
         .expect("tenant set must lower cleanly and fit the phone's budget at batch 1");
 
-    let plans: Vec<ExecutionPlan> = workloads
-        .iter()
-        .zip(admissions.iter().zip(eff.iter()))
-        .map(|(w, (adm, &ov))| ExecutionPlan::for_arch_batched_with(w.arch, gpu, adm.batch, ov))
-        .collect();
-    let extras: Vec<Vec<f64>> = plans
-        .iter()
-        .zip(workloads.iter())
-        .map(|(p, w)| activation_extras_arch(p, w.arch))
-        .collect();
-
     // Co-resident windows under the registered mix.
-    let windows_ms: Vec<(f64, f64)> = plans
-        .iter()
-        .zip(extras.iter())
-        .map(|(p, e)| {
-            let (c, s) = modeled_window_under(p, e, gpu, streams, mix.as_deref());
-            (c * 1e3, s * 1e3)
-        })
-        .collect();
     let loads: Vec<TenantLoad> = workloads
         .iter()
-        .zip(windows_ms.iter())
-        .map(|(w, &(cold_ms, steady_ms))| TenantLoad {
+        .zip(admitted.iter())
+        .map(|(w, a)| TenantLoad {
             windows: w.windows,
-            cold_ms,
-            steady_ms,
-            target_ms: w.slo_ms.unwrap_or(steady_ms).max(f64::MIN_POSITIVE),
+            cold_ms: a.cold_s * 1e3,
+            steady_ms: a.steady_s * 1e3,
+            target_ms: w.slo_ms.unwrap_or(a.steady_s * 1e3).max(f64::MIN_POSITIVE),
         })
         .collect();
     let schedule = schedule_windows(&loads, streams);
@@ -2703,7 +2664,7 @@ pub fn estimate_serve_multitenant_budgeted(
 
     let mut tenants = Vec::with_capacity(workloads.len());
     let mut served_total = 0usize;
-    for (t, (w, adm)) in workloads.iter().zip(admissions.iter()).enumerate() {
+    for (t, (w, a)) in workloads.iter().zip(admitted.iter()).enumerate() {
         let latencies: Vec<f64> = schedule
             .iter()
             .filter(|sw| sw.tenant == t)
@@ -2712,16 +2673,16 @@ pub fn estimate_serve_multitenant_budgeted(
                 (sw.end_ms - arrival).max(sw.end_ms - sw.start_ms)
             })
             .collect();
-        let (p50_ms, p95_ms, p99_ms) = percentiles(&latencies);
-        let served = w.windows * adm.batch;
+        let (p50_ms, p95_ms, p99_ms, _) = percentiles(&latencies);
+        let served = w.windows * a.admission.batch;
         served_total += served;
         tenants.push(TenantEstimate {
             name: w.arch.name.clone(),
-            admission: adm.clone(),
+            admission: a.admission.clone(),
             windows: w.windows,
             served,
-            cold_ms: windows_ms[t].0,
-            steady_ms: windows_ms[t].1,
+            cold_ms: loads[t].cold_ms,
+            steady_ms: loads[t].steady_ms,
             p50_ms,
             p95_ms,
             p99_ms,
@@ -2732,8 +2693,8 @@ pub fn estimate_serve_multitenant_budgeted(
     // Time-sliced sequential baseline: each tenant alone on the same
     // streams (symmetric contention — the PR 4 model), makespans summed.
     let mut sequential_wall_ms = 0.0f64;
-    for ((plan, extra), load) in plans.iter().zip(extras.iter()).zip(loads.iter()) {
-        let (c, s) = modeled_window_under(plan, extra, gpu, streams, None);
+    for (a, load) in admitted.iter().zip(loads.iter()) {
+        let (c, s) = modeled_window_under(&a.plan, gpu, streams, None);
         let solo = schedule_windows(
             &[TenantLoad {
                 windows: load.windows,
@@ -2747,12 +2708,15 @@ pub fn estimate_serve_multitenant_budgeted(
     }
 
     let archs: Vec<&NetworkArch> = workloads.iter().map(|w| w.arch).collect();
-    let batches: Vec<usize> = admissions.iter().map(|a| a.batch).collect();
+    let batches: Vec<usize> = admitted.iter().map(|a| a.admission.batch).collect();
     let mem = crate::planner::plan_multitenant(&archs, &batches, gpu, streams);
     // Streamed tenants charge their hot-set grants, not their summed
     // weights — the fits-with-paging peak. With no grants this is
     // exactly `mem.peak_bytes`.
-    let grants: Vec<Option<usize>> = admissions.iter().map(|a| a.weight_grant_bytes).collect();
+    let grants: Vec<Option<usize>> = admitted
+        .iter()
+        .map(|a| a.admission.weight_grant_bytes)
+        .collect();
     let peak_bytes = mem.paged_peak_bytes(&grants);
     MultiTenantEstimate {
         tenants,
@@ -2883,7 +2847,6 @@ pub fn estimate_serve_open_loop(
 ) -> OpenLoopEstimate {
     assert!(!workloads.is_empty() && streams >= 1);
     assert!(duration_ms > 0.0, "duration_ms must be positive");
-    let gpu = &phone.gpu;
     let asks: Vec<TenantAsk<'_>> = workloads
         .iter()
         .map(|w| TenantAsk {
@@ -2893,19 +2856,8 @@ pub fn estimate_serve_open_loop(
             overrides: RouteOverrides::default(),
         })
         .collect();
-    let (admissions, mix) = admit_tenants(&asks, phone, streams)
+    let (admitted, _) = admit_and_model(&asks, phone, streams, None)
         .expect("tenant set must lower cleanly and fit the phone's budget at batch 1");
-
-    let windows_ms: Vec<(f64, f64)> = workloads
-        .iter()
-        .zip(admissions.iter())
-        .map(|(w, adm)| {
-            let plan = ExecutionPlan::for_arch_batched(w.arch, gpu, adm.batch);
-            let extras = activation_extras_arch(&plan, w.arch);
-            let (c, s) = modeled_window_under(&plan, &extras, gpu, streams, mix.as_deref());
-            (c * 1e3, s * 1e3)
-        })
-        .collect();
 
     let arrivals_ms: Vec<Vec<f64>> = workloads
         .iter()
@@ -2913,13 +2865,12 @@ pub fn estimate_serve_open_loop(
         .collect();
     let loads: Vec<OpenLoopLoad> = workloads
         .iter()
-        .zip(admissions.iter())
+        .zip(admitted.iter())
         .zip(arrivals_ms.iter())
-        .zip(windows_ms.iter())
-        .map(|(((w, adm), arr), &(cold_ms, steady_ms))| OpenLoopLoad {
-            windows: open_loop_windows(arr, adm.batch, w.slo_ms),
-            cold_ms,
-            steady_ms,
+        .map(|((w, a), arr)| OpenLoopLoad {
+            windows: open_loop_windows(arr, a.admission.batch, w.slo_ms),
+            cold_ms: a.cold_s * 1e3,
+            steady_ms: a.steady_s * 1e3,
         })
         .collect();
     let schedule = schedule_open_loop(&loads, streams, fault, policy);
@@ -2927,63 +2878,35 @@ pub fn estimate_serve_open_loop(
     let mut tenants = Vec::with_capacity(workloads.len());
     let mut served_total = 0usize;
     let mut offered_total = 0usize;
-    for (t, (w, adm)) in workloads.iter().zip(admissions.iter()).enumerate() {
-        let offered = arrivals_ms[t].len();
-        let batch = adm.batch.max(1);
-        let mut latency = Vec::new();
-        let mut shed_req = 0usize;
-        let mut windows_shed = 0usize;
-        for (i, fate) in schedule.fates[t].iter().enumerate() {
-            let start = i * batch;
-            let len = batch.min(offered - start);
-            match fate {
-                WindowFate::Served { end_ms, .. } => {
-                    for j in 0..len {
-                        latency.push(end_ms - arrivals_ms[t][start + j]);
-                    }
-                }
-                WindowFate::Shed { .. } => {
-                    shed_req += len;
-                    windows_shed += 1;
-                }
-            }
-        }
-        let retries = schedule
-            .attempts
-            .iter()
-            .filter(|a| a.tenant == t && a.faulted)
-            .count();
-        let throttled = schedule
-            .attempts
-            .iter()
-            .filter(|a| a.tenant == t && a.slowdown > 1.0)
-            .count();
-        let (p50_ms, p95_ms, p99_ms, p999_ms) = percentiles_ext(&latency);
-        let served = offered - shed_req;
-        served_total += served;
-        offered_total += offered;
+    for (t, (w, a)) in workloads.iter().zip(admitted.iter()).enumerate() {
+        let tally = OpenLoopTally::fold(
+            &schedule,
+            t,
+            &arrivals_ms[t],
+            a.admission.batch,
+            w.slo_ms,
+            |_, _, _| {},
+        );
+        served_total += tally.served;
+        offered_total += tally.offered;
         tenants.push(TenantOpenLoopEstimate {
             name: w.arch.name.clone(),
-            admission: adm.clone(),
-            offered,
-            served,
-            shed: shed_req,
-            windows: schedule.fates[t].len(),
-            windows_shed,
-            retries,
-            throttled,
-            cold_ms: windows_ms[t].0,
-            steady_ms: windows_ms[t].1,
-            p50_ms,
-            p95_ms,
-            p99_ms,
-            p999_ms,
-            slo_met: w.slo_ms.is_none_or(|slo| p95_ms <= slo),
-            shed_rate: if offered > 0 {
-                shed_req as f64 / offered as f64
-            } else {
-                0.0
-            },
+            admission: a.admission.clone(),
+            offered: tally.offered,
+            served: tally.served,
+            shed: tally.shed,
+            windows: tally.windows,
+            windows_shed: tally.windows_shed,
+            retries: tally.retries,
+            throttled: tally.throttled,
+            cold_ms: loads[t].cold_ms,
+            steady_ms: loads[t].steady_ms,
+            p50_ms: tally.p50_ms,
+            p95_ms: tally.p95_ms,
+            p99_ms: tally.p99_ms,
+            p999_ms: tally.p999_ms,
+            slo_met: tally.slo_met,
+            shed_rate: tally.shed_rate,
         });
     }
     let horizon_ms = schedule.wall_ms.max(duration_ms);
@@ -3191,12 +3114,13 @@ mod tests {
     #[test]
     fn percentiles_are_nearest_rank_over_one_sort() {
         let xs = [5.0, 1.0, 3.0, 2.0, 4.0];
-        let (p50, p95, p99) = percentiles(&xs);
+        let (p50, p95, p99, p999) = percentiles(&xs);
         assert_eq!(p50, 3.0);
         assert_eq!(p95, 5.0);
         assert_eq!(p99, 5.0);
-        assert_eq!(percentiles(&[]), (0.0, 0.0, 0.0));
-        assert_eq!(percentiles(&[7.5]), (7.5, 7.5, 7.5));
+        assert_eq!(p999, 5.0);
+        assert_eq!(percentiles(&[]), (0.0, 0.0, 0.0, 0.0));
+        assert_eq!(percentiles(&[7.5]), (7.5, 7.5, 7.5, 7.5));
     }
 
     // -- scheduler ---------------------------------------------------------

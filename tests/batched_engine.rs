@@ -181,7 +181,12 @@ fn batched_plan_and_residency_agree_with_planner() {
         session.model().size_bytes() + eplan.staged_arena_bytes()
     );
     // The analytic batched plan agrees with an estimator window too.
-    let est = phonebit::core::estimate_arch_batched(&phone, &arch, 4);
+    let est = phonebit::core::estimate_arch_with(
+        &phone,
+        &arch,
+        4,
+        phonebit::core::EstimateOptions::default(),
+    );
     assert_eq!(
         est.peak_bytes,
         ExecutionPlan::for_arch_batched(&arch, &phone.gpu, 4).peak_bytes()

@@ -4,7 +4,7 @@
 
 use phonebit::baselines::common::Framework;
 use phonebit::baselines::{CnnDroid, TfLite};
-use phonebit::core::{convert, estimate_arch, Session};
+use phonebit::core::{convert, estimate_arch, ExecutionPlan, Session};
 use phonebit::gpusim::counters::StatsReport;
 use phonebit::gpusim::Phone;
 use phonebit::models::zoo::Variant;
@@ -14,8 +14,9 @@ use phonebit::nn::graph::{LayerPrecision, NetworkArch};
 use phonebit::tensor::shape::Shape4;
 
 /// A micro net whose middle layer exceeds the 256-channel integration
-/// limit, forcing the engine through bconv_accum + binarize_pack.
-fn wide_channel_arch() -> NetworkArch {
+/// limit, forcing the engine through bconv_accum + binarize_pack; `head`
+/// is the float conv's fused activation epilogue.
+fn wide_channel_arch(head: Activation) -> NetworkArch {
     NetworkArch::new("wide", Shape4::new(1, 12, 12, 3))
         .conv(
             "conv1",
@@ -35,35 +36,44 @@ fn wide_channel_arch() -> NetworkArch {
             LayerPrecision::Binary,
             Activation::Linear,
         )
-        .conv(
-            "conv3",
-            10,
-            1,
-            1,
-            0,
-            LayerPrecision::Float,
-            Activation::Linear,
-        )
+        .conv("conv3", 10, 1, 1, 0, LayerPrecision::Float, head)
         .softmax()
 }
 
 #[test]
 fn unfused_path_runs_and_matches_estimate() {
-    let arch = wide_channel_arch();
-    let def = fill_weights(&arch, 55);
-    let model = convert(&def);
     let phone = Phone::xiaomi_9();
-    let mut session = Session::new(model, &phone).expect("fits");
-    let img = synthetic_image(Shape4::new(1, 12, 12, 3), 3);
-    let run = session.run_u8(&img).expect("runs");
-    // conv2 reads 320 channels (> 256): accum + pack, still bit-exact
-    // against the estimate path's dispatch count and timing.
-    let est = estimate_arch(&phone, &arch);
-    assert!((run.total_s - est.total_s).abs() < 1e-9);
-    // Output is a softmax distribution.
-    let probs = run.output.expect("out").into_floats().expect("floats");
-    let sum: f32 = probs.as_slice().iter().sum();
-    assert!((sum - 1.0).abs() < 1e-4);
+    let mut linear_s = None;
+    // Every float-conv epilogue: Linear charges no f32 ops, Relu and
+    // Leaky charge `out_shape.len() × ops_per_element()` — the executor
+    // and the estimator must charge the same epilogue cost.
+    for head in [Activation::Linear, Activation::Relu, Activation::Leaky(0.1)] {
+        let arch = wide_channel_arch(head);
+        let def = fill_weights(&arch, 55);
+        let model = convert(&def);
+        let mut session = Session::new(model, &phone).expect("fits");
+        // The arch and model fronts lower the same steps, epilogue
+        // included.
+        assert_eq!(
+            ExecutionPlan::for_arch(&arch, &phone.gpu).steps,
+            session.plan().steps,
+            "{head:?}"
+        );
+        let img = synthetic_image(Shape4::new(1, 12, 12, 3), 3);
+        let run = session.run_u8(&img).expect("runs");
+        // conv2 reads 320 channels (> 256): accum + pack, still exact
+        // against the estimate path's dispatch count and timing.
+        let est = estimate_arch(&phone, &arch);
+        assert_eq!(run.total_s, est.total_s, "{head:?}");
+        let base = *linear_s.get_or_insert(est.total_s);
+        if head != Activation::Linear {
+            assert!(est.total_s > base, "{head:?} epilogue charged nothing");
+        }
+        // Output is a softmax distribution.
+        let probs = run.output.expect("out").into_floats().expect("floats");
+        let sum: f32 = probs.as_slice().iter().sum();
+        assert!((sum - 1.0).abs() < 1e-4);
+    }
 }
 
 #[test]

@@ -4,7 +4,7 @@
 
 use phonebit::baselines::common::Framework;
 use phonebit::baselines::{CnnDroid, TfLite};
-use phonebit::core::{estimate_arch, estimate_arch_opts, EstimateOptions};
+use phonebit::core::{estimate_arch, estimate_arch_with, EstimateOptions};
 use phonebit::gpusim::Phone;
 use phonebit::models::size::table2_rows;
 use phonebit::models::zoo::{self, Variant};
@@ -195,27 +195,30 @@ fn ablations_all_help() {
     let phone = Phone::xiaomi_9();
     let arch = zoo::yolov2_tiny(Variant::Binary);
     let base = estimate_arch(&phone, &arch).total_s;
-    let unfused = estimate_arch_opts(
+    let unfused = estimate_arch_with(
         &phone,
         &arch,
+        1,
         EstimateOptions {
             force_unfused: true,
             ..Default::default()
         },
     )
     .total_s;
-    let divergent = estimate_arch_opts(
+    let divergent = estimate_arch_with(
         &phone,
         &arch,
+        1,
         EstimateOptions {
             divergent_binarize: true,
             ..Default::default()
         },
     )
     .total_s;
-    let serial = estimate_arch_opts(
+    let serial = estimate_arch_with(
         &phone,
         &arch,
+        1,
         EstimateOptions {
             no_latency_hiding: true,
             ..Default::default()
