@@ -321,12 +321,14 @@ impl<'a> Reader<'a> {
         Ok(out)
     }
 
-    fn packed(&mut self) -> Result<PackedFilters<u64>, FormatError> {
+    /// A packed bank of layer `layer`, rejecting any tap whose tail bits
+    /// past channel `c` are set.
+    fn packed(&mut self, layer: &str) -> Result<PackedFilters<u64>, FormatError> {
         let (k, kh, kw, c) = (self.u32()?, self.u32()?, self.u32()?, self.u32()?);
         let words = self.u32()?;
         // Every extent is at least 1, so the per-filter and per-tap tables
-        // `zeros` sizes are no longer than `words`, which is bounded by
-        // the payload before anything is allocated.
+        // `from_words` sizes are no longer than `words`, which is bounded
+        // by the payload before anything is allocated.
         if [k, kh, kw, c].contains(&0) {
             return Err(FormatError::BadData(format!(
                 "packed filter shape {k}x{kh}x{kw}x{c} has a zero extent"
@@ -342,33 +344,18 @@ impl<'a> Reader<'a> {
             )));
         }
         let words = self.bounded("packed filter words", words, 8)?;
-        let mut p = PackedFilters::<u64>::zeros(FilterShape::new(k, kh, kw, c));
         let mut data = Vec::with_capacity(words);
         for _ in 0..words {
             data.push(self.u64()?);
         }
-        // Rebuild through the typed API to keep the tail invariant honest.
-        let wpt = p.words_per_tap();
-        for k_i in 0..k {
-            for i in 0..kh {
-                for j in 0..kw {
-                    let off = p.tap_offset(k_i, i, j);
-                    for c_i in 0..c {
-                        let word = data[off + c_i / 64];
-                        if (word >> (c_i % 64)) & 1 == 1 {
-                            p.set_bit(k_i, i, j, c_i, true);
-                        }
-                    }
-                    let _ = wpt;
-                }
-            }
-        }
-        if !p.tail_is_clean() {
-            return Err(FormatError::BadData(
-                "dirty tail bits in packed filters".into(),
-            ));
-        }
-        Ok(p)
+        PackedFilters::from_words(FilterShape::new(k, kh, kw, c), data).map_err(|tap| {
+            let (k_i, ij) = (tap / (kh * kw), tap % (kh * kw));
+            FormatError::BadData(format!(
+                "layer {layer:?}: dirty tail bits past channel {c} in filter {k_i} tap ({}, {})",
+                ij / kw,
+                ij % kw
+            ))
+        })
     }
 
     fn fused(&mut self) -> Result<FusedBn, FormatError> {
@@ -444,18 +431,27 @@ pub fn read_model(payload: &[u8]) -> Result<PbitModel, FormatError> {
     for _ in 0..count {
         let tag = r.u8()?;
         layers.push(match tag {
-            1 => PbitLayer::BConvInput8 {
-                name: r.string()?,
-                geom: r.geom()?,
-                filters: r.packed()?,
-                fused: r.fused()?,
-            },
-            2 => PbitLayer::BConv {
-                name: r.string()?,
-                geom: r.geom()?,
-                filters: r.packed()?,
-                fused: r.fused()?,
-            },
+            1 | 2 => {
+                let name = r.string()?;
+                let geom = r.geom()?;
+                let filters = r.packed(&name)?;
+                let fused = r.fused()?;
+                if tag == 1 {
+                    PbitLayer::BConvInput8 {
+                        name,
+                        geom,
+                        filters,
+                        fused,
+                    }
+                } else {
+                    PbitLayer::BConv {
+                        name,
+                        geom,
+                        filters,
+                        fused,
+                    }
+                }
+            }
             3 => PbitLayer::FConv {
                 name: r.string()?,
                 geom: r.geom()?,
@@ -471,11 +467,15 @@ pub fn read_model(payload: &[u8]) -> Result<PbitModel, FormatError> {
                 name: r.string()?,
                 geom: PoolGeometry::new(r.u32()?, r.u32()?),
             },
-            6 => PbitLayer::DenseBin {
-                name: r.string()?,
-                weights: r.packed()?,
-                fused: r.fused()?,
-            },
+            6 => {
+                let name = r.string()?;
+                let weights = r.packed(&name)?;
+                PbitLayer::DenseBin {
+                    name,
+                    weights,
+                    fused: r.fused()?,
+                }
+            }
             7 => {
                 let name = r.string()?;
                 let _out = r.u32()?;
@@ -654,6 +654,45 @@ mod tests {
                 "{:?}",
                 read_model(&payload)
             );
+        }
+    }
+
+    #[test]
+    fn dirty_tail_bits_are_rejected_naming_the_bank() {
+        // One 40-channel tap whose word is a pattern found nowhere else in
+        // the payload; setting a bit past channel 40 must be rejected, not
+        // masked off on decode.
+        let pattern = 0x5A_A5A5_A5A5u64;
+        let mut filters = PackedFilters::<u64>::zeros(FilterShape::new(1, 1, 1, 40));
+        for c in 0..40 {
+            filters.set_bit(0, 0, 0, c, (pattern >> c) & 1 == 1);
+        }
+        let model = PbitModel {
+            name: "tail".into(),
+            input: Shape4::new(1, 2, 2, 40),
+            layers: vec![PbitLayer::BConv {
+                name: "conv7".into(),
+                geom: ConvGeometry::square(1, 1, 0),
+                filters,
+                fused: FusedBn {
+                    xi: vec![0.0],
+                    gamma_pos: vec![true],
+                },
+            }],
+        };
+        let payload = write_model(&model);
+        assert_eq!(read_model(&payload), Ok(model));
+        let at = payload
+            .windows(8)
+            .position(|w| w == pattern.to_le_bytes())
+            .expect("filter word in payload");
+        let mut dirty = payload;
+        dirty[at + 7] |= 0x80;
+        match read_model(&dirty) {
+            Err(FormatError::BadData(m)) => {
+                assert!(m.contains("conv7") && m.contains("dirty tail"), "{m}")
+            }
+            other => panic!("dirty tail decoded as {other:?}"),
         }
     }
 

@@ -37,6 +37,21 @@ pub fn host_threads() -> usize {
     *THREADS.get_or_init(|| thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
+/// Whether the host CPU has the POPCNT instruction, detected once per
+/// process.
+///
+/// The x86-64 baseline ABI does not include POPCNT, so a plain build lowers
+/// every `count_ones` to a multi-instruction bit-twiddling sequence. The
+/// xor/and-popcount row drivers of `phonebit-nn` are compiled a second time
+/// with the instruction enabled and take that copy when this returns
+/// `true`. Other targets need no check: aarch64 lowers `count_ones` to its
+/// native `cnt` in every build.
+#[cfg(target_arch = "x86_64")]
+pub fn host_popcnt() -> bool {
+    static POPCNT: OnceLock<bool> = OnceLock::new();
+    *POPCNT.get_or_init(|| std::arch::is_x86_feature_detected!("popcnt"))
+}
+
 /// One parallel call: the body every participant runs until the call's
 /// work is claimed, and its completion count.
 struct Job<'a> {

@@ -46,7 +46,7 @@ impl<W: BitWord, const N: usize> ClVec<W, N> {
     /// # Panics
     ///
     /// Panics if `src` holds fewer than `N` words.
-    #[inline]
+    #[inline(always)]
     pub fn load(src: &[W]) -> Self {
         let mut out = [W::zero(); N];
         out.copy_from_slice(&src[..N]);
@@ -73,7 +73,7 @@ impl<W: BitWord, const N: usize> ClVec<W, N> {
     }
 
     /// Lane-wise xor.
-    #[inline]
+    #[inline(always)]
     pub fn xor(self, other: Self) -> Self {
         let mut out = self.0;
         for (a, b) in out.iter_mut().zip(other.0.iter()) {
@@ -83,7 +83,7 @@ impl<W: BitWord, const N: usize> ClVec<W, N> {
     }
 
     /// Lane-wise and.
-    #[inline]
+    #[inline(always)]
     pub fn and(self, other: Self) -> Self {
         let mut out = self.0;
         for (a, b) in out.iter_mut().zip(other.0.iter()) {
@@ -115,7 +115,7 @@ impl<W: BitWord, const N: usize> ClVec<W, N> {
     }
 
     /// Sum of set bits across all lanes (horizontal popcount reduction).
-    #[inline]
+    #[inline(always)]
     pub fn popcount(self) -> u32 {
         self.0.iter().map(|w| w.popcount()).sum()
     }
@@ -143,7 +143,7 @@ pub type ULong16 = ClVec<u64, 16>;
 /// vector operations with scalar tail handling.
 ///
 /// Returns `popcount(xor(a, b))` — the "disagreement count" of Eqn (1).
-#[inline]
+#[inline(always)]
 pub fn xor_popcount_vec<W: BitWord, const N: usize>(a: &[W], b: &[W]) -> u32 {
     debug_assert_eq!(a.len(), b.len());
     let mut acc = 0u32;

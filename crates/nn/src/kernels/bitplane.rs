@@ -25,6 +25,11 @@
 //!   is simply left zero in the gathered window and adds to neither term —
 //!   unlike the ±1 binary layers, whose padding taps contribute `−1` and
 //!   need the tap-popcount tables of [`crate::kernels::tiled`].
+//! - **Hardware popcount.** Like the tiled drivers, `GatheredPlanes::row`
+//!   is compiled twice from one `#[inline(always)]` body and takes the
+//!   `popcnt` copy on x86-64 hosts that have the instruction (see
+//!   [`crate::kernels::tiled`]); the window and filter popcounts
+//!   (`weighted_popcount`, `emit_pixel`) are always inlined into it.
 //!
 //! The per-pixel, per-filter, per-plane, per-tap walk
 //! [`bitplane_window_dot`] is kept as the reference oracle
@@ -32,6 +37,8 @@
 //! [`compute_bconv_fused_reference`](crate::kernels::bconv::compute_bconv_fused_reference)
 //! for the binary layers.
 
+#[cfg(target_arch = "x86_64")]
+use phonebit_gpusim::exec::host_popcnt;
 use phonebit_gpusim::exec::par_chunks_mut;
 use phonebit_gpusim::queue::CommandQueue;
 use phonebit_tensor::bitplane::BitPlanes;
@@ -122,8 +129,41 @@ impl<'a, W: BitWord> GatheredPlanes<'a, W> {
 
     /// Computes output row `(n, oy)`, calling `emit(ox, k, s)` with the
     /// Eqn (2) accumulator `s` of every output pixel `ox < ow` and filter
-    /// `k`. `windows` is `GatheredPlanes::scratch`.
+    /// `k`. `windows` is `GatheredPlanes::scratch`. Runs the
+    /// hardware-popcount copy of the row when the host has one.
     pub fn row(
+        &self,
+        windows: &mut [[W; 8]],
+        n: usize,
+        oy: usize,
+        ow: usize,
+        emit: impl FnMut(usize, usize, i32),
+    ) {
+        #[cfg(target_arch = "x86_64")]
+        if host_popcnt() {
+            // SAFETY: `host_popcnt()` checked that this CPU has POPCNT.
+            return unsafe { self.row_popcnt(windows, n, oy, ow, emit) };
+        }
+        self.row_body(windows, n, oy, ow, emit)
+    }
+
+    /// `GatheredPlanes::row_body` compiled with hardware popcount.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "popcnt")]
+    fn row_popcnt(
+        &self,
+        windows: &mut [[W; 8]],
+        n: usize,
+        oy: usize,
+        ow: usize,
+        emit: impl FnMut(usize, usize, i32),
+    ) {
+        self.row_body(windows, n, oy, ow, emit)
+    }
+
+    /// The body of `GatheredPlanes::row`, inlined into both of its copies.
+    #[inline(always)]
+    pub fn row_body(
         &self,
         windows: &mut [[W; 8]],
         n: usize,
@@ -195,7 +235,7 @@ impl<'a, W: BitWord> GatheredPlanes<'a, W> {
     }
 
     /// Emits every filter's Eqn (2) accumulator for one gathered window.
-    #[inline]
+    #[inline(always)]
     fn emit_pixel(&self, window: &[[W; 8]], ox: usize, emit: &mut impl FnMut(usize, usize, i32)) {
         let t: i32 = window.iter().map(weighted_popcount).sum();
         for (k, filter) in self.filters.chunks_exact(self.window_words).enumerate() {
@@ -211,7 +251,7 @@ impl<'a, W: BitWord> GatheredPlanes<'a, W> {
 
 /// `Σ_n 2^n · popcount(planes[n])`: one window word of all 8 planes,
 /// weighted per Eqn (2).
-#[inline]
+#[inline(always)]
 fn weighted_popcount<W: BitWord>(planes: &[W; 8]) -> i32 {
     planes
         .iter()

@@ -1,6 +1,8 @@
 //! Dense (fully connected) kernels, binary and float, plus the bit-preserving
 //! flatten that connects convolutional features to them.
 
+#[cfg(target_arch = "x86_64")]
+use phonebit_gpusim::exec::host_popcnt;
 use phonebit_gpusim::queue::CommandQueue;
 use phonebit_gpusim::vector::xor_popcount_vec;
 use phonebit_tensor::bits::{merge_bits, BitTensor, BitWord, PackedFilters};
@@ -47,8 +49,38 @@ pub fn flatten_bits_into<W: BitWord>(input: &BitTensor<W>, out: &mut BitTensor<W
     }
 }
 
-/// Functional body of the fused binary dense layer.
+/// Functional body of the fused binary dense layer: one xnor-popcount
+/// matvec per image, on the hardware-popcount copy of the loop when the
+/// host has one.
 pub fn compute_dense_bin<W: BitWord>(
+    input: &BitTensor<W>,
+    weights: &PackedFilters<W>,
+    fused: &FusedBn,
+    out: &mut BitTensor<W>,
+) {
+    #[cfg(target_arch = "x86_64")]
+    if host_popcnt() {
+        // SAFETY: `host_popcnt()` checked that this CPU has POPCNT.
+        return unsafe { dense_bin_popcnt(input, weights, fused, out) };
+    }
+    dense_bin_body(input, weights, fused, out)
+}
+
+/// [`dense_bin_body`] compiled with hardware popcount.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "popcnt")]
+fn dense_bin_popcnt<W: BitWord>(
+    input: &BitTensor<W>,
+    weights: &PackedFilters<W>,
+    fused: &FusedBn,
+    out: &mut BitTensor<W>,
+) {
+    dense_bin_body(input, weights, fused, out)
+}
+
+/// The body of [`compute_dense_bin`], inlined into both of its copies.
+#[inline(always)]
+pub(crate) fn dense_bin_body<W: BitWord>(
     input: &BitTensor<W>,
     weights: &PackedFilters<W>,
     fused: &FusedBn,

@@ -29,7 +29,23 @@
 //!    vector is reused [`TILE_FILTERS`] times and every loaded filter vector
 //!    [`TILE_PIXELS`] times. The same microkernel drives `bconv_fused`,
 //!    `bconv_accum` and the lowered bit-GEMM path.
+//!
+//! **Hardware popcount.** The x86-64 baseline ABI has no POPCNT
+//! instruction, so a plain build turns every popcount above into a
+//! bit-twiddling sequence. The two row drivers, [`conv_row_tiled`] and
+//! [`tile_filters`], are therefore each compiled twice from one
+//! `#[inline(always)]` body: as is, and inside a
+//! `#[target_feature(enable = "popcnt")]` copy that the entry point takes
+//! when `phonebit_gpusim::exec::host_popcnt()` reports the instruction.
+//! Everything that popcounts under them ([`bit_dot_tile`], the border
+//! dot, `xor_popcount_vec`, `ClVec`, `BitWord::popcount`) is
+//! `#[inline(always)]` so that it is compiled into the copy, and
+//! [`conv_row_tiled`]'s body calls the filter loop's body directly. Other
+//! targets build only the plain body: aarch64 lowers `count_ones` to
+//! `cnt` anyway.
 
+#[cfg(target_arch = "x86_64")]
+use phonebit_gpusim::exec::host_popcnt;
 use phonebit_gpusim::vector::{xor_popcount_vec, ClVec};
 use phonebit_tensor::bits::{BitTensor, BitWord};
 use phonebit_tensor::dict::FilterAccess;
@@ -47,7 +63,7 @@ pub const TILE_PIXELS: usize = 2;
 /// Words stream through 2-lane 128-bit-style vectors (§VI-A.1); each loaded
 /// window vector is reused `F` times and each filter vector `P` times, which
 /// is the whole point of the tile.
-#[inline]
+#[inline(always)]
 pub fn bit_dot_tile<W: BitWord, const P: usize, const F: usize>(
     windows: &[&[W]; P],
     filters: &[&[W]; F],
@@ -213,7 +229,7 @@ pub fn interior_columns(
 /// Taps are resolved one span at a time through [`FilterAccess`], so
 /// dictionary-compressed banks work unchanged — the indices are chased
 /// here, outside the xor+popcount inner loop.
-#[inline]
+#[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn border_disagreement<W: BitWord>(
     input: &BitTensor<W>,
@@ -248,7 +264,35 @@ fn border_disagreement<W: BitWord>(
 ///
 /// This is the one filter-loop shared by the direct interior fast path and
 /// the lowered bit-GEMM — tile geometry changes land in exactly one place.
+/// It runs the hardware-popcount copy of its body when the host has one
+/// (see the module docs).
 pub fn tile_filters<W: BitWord>(
+    rows: &[&[W]],
+    filters: &(impl FilterAccess<W> + Sync),
+    emit: impl FnMut(usize, usize, u32),
+) {
+    #[cfg(target_arch = "x86_64")]
+    if host_popcnt() {
+        // SAFETY: `host_popcnt()` checked that this CPU has POPCNT.
+        return unsafe { tile_filters_popcnt(rows, filters, emit) };
+    }
+    tile_filters_body(rows, filters, emit)
+}
+
+/// [`tile_filters_body`] compiled with hardware popcount.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "popcnt")]
+fn tile_filters_popcnt<W: BitWord>(
+    rows: &[&[W]],
+    filters: &(impl FilterAccess<W> + Sync),
+    emit: impl FnMut(usize, usize, u32),
+) {
+    tile_filters_body(rows, filters, emit)
+}
+
+/// The body of [`tile_filters`], inlined into both of its copies.
+#[inline(always)]
+pub(crate) fn tile_filters_body<W: BitWord>(
     rows: &[&[W]],
     filters: &(impl FilterAccess<W> + Sync),
     mut emit: impl FnMut(usize, usize, u32),
@@ -330,9 +374,48 @@ pub fn tile_filters<W: BitWord>(
 /// (pairs of pixels × four filters per step); border columns use segment
 /// dots plus tap-popcount tables. `emit` decides what an output *is* —
 /// a fused binarize+pack bit, an `i32` accumulator slot — so one driver
-/// serves every direct kernel.
+/// serves every direct kernel. Like [`tile_filters`], it runs the
+/// hardware-popcount copy of its body when the host has one.
 #[allow(clippy::too_many_arguments)]
 pub fn conv_row_tiled<W: BitWord>(
+    input: &BitTensor<W>,
+    filters: &(impl FilterAccess<W> + Sync),
+    geom: &ConvGeometry,
+    gather: &mut WindowGather<W>,
+    n: usize,
+    oy: usize,
+    ow: usize,
+    emit: impl FnMut(usize, usize, i32),
+) {
+    #[cfg(target_arch = "x86_64")]
+    if host_popcnt() {
+        // SAFETY: `host_popcnt()` checked that this CPU has POPCNT.
+        return unsafe { conv_row_tiled_popcnt(input, filters, geom, gather, n, oy, ow, emit) };
+    }
+    conv_row_tiled_body(input, filters, geom, gather, n, oy, ow, emit)
+}
+
+/// [`conv_row_tiled_body`] compiled with hardware popcount.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "popcnt")]
+#[allow(clippy::too_many_arguments)]
+fn conv_row_tiled_popcnt<W: BitWord>(
+    input: &BitTensor<W>,
+    filters: &(impl FilterAccess<W> + Sync),
+    geom: &ConvGeometry,
+    gather: &mut WindowGather<W>,
+    n: usize,
+    oy: usize,
+    ow: usize,
+    emit: impl FnMut(usize, usize, i32),
+) {
+    conv_row_tiled_body(input, filters, geom, gather, n, oy, ow, emit)
+}
+
+/// The body of [`conv_row_tiled`], inlined into both of its copies.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn conv_row_tiled_body<W: BitWord>(
     input: &BitTensor<W>,
     filters: &(impl FilterAccess<W> + Sync),
     geom: &ConvGeometry,
@@ -348,18 +431,6 @@ pub fn conv_row_tiled<W: BitWord>(
     let base = (geom.taps() * fs.c) as i32;
     let interior = interior_columns(geom, s.h, s.w, ow, oy);
 
-    let border = |ox: usize, emit: &mut dyn FnMut(usize, usize, i32)| {
-        let span = BorderSpan::of(geom, s.h, s.w, oy, ox);
-        for k in 0..k_total {
-            let d = border_disagreement(input, filters, geom, &span, n, oy, ox, k);
-            emit(ox, k, base - 2 * d as i32);
-        }
-    };
-
-    for ox in 0..interior.start {
-        border(ox, &mut emit);
-    }
-
     // Interior fast path: up-to-TILE_PIXELS pixel tiles × filter quads.
     let mut ox = interior.start;
     while ox < interior.end {
@@ -369,14 +440,20 @@ pub fn conv_row_tiled<W: BitWord>(
         }
         // Unused slots alias the last gathered window; they are sliced off.
         let windows: [&[W]; TILE_PIXELS] = std::array::from_fn(|p| gather.window(p.min(count - 1)));
-        tile_filters(&windows[..count], filters, |p, k, d| {
+        tile_filters_body(&windows[..count], filters, |p, k, d| {
             emit(ox + p, k, base - 2 * d as i32)
         });
         ox += count;
     }
 
-    for ox in interior.end..ow {
-        border(ox, &mut emit);
+    // Border columns on both sides (`emit` writes disjoint slots, so the
+    // column order is free).
+    for ox in (0..interior.start).chain(interior.end..ow) {
+        let span = BorderSpan::of(geom, s.h, s.w, oy, ox);
+        for k in 0..k_total {
+            let d = border_disagreement(input, filters, geom, &span, n, oy, ox, k);
+            emit(ox, k, base - 2 * d as i32);
+        }
     }
 }
 

@@ -94,7 +94,9 @@ macro_rules! impl_bit_word {
             fn not(self) -> Self {
                 !self
             }
-            #[inline]
+            // Always inlined, so a caller compiled with hardware popcount
+            // enabled lowers this to the instruction.
+            #[inline(always)]
             fn popcount(self) -> u32 {
                 self.count_ones()
             }
@@ -469,6 +471,49 @@ impl<W: BitWord> PackedFilters<W> {
         }
     }
 
+    /// Builds a bank from its packed words in [`PackedFilters::as_words`]
+    /// order, filling both popcount tables in the same pass.
+    ///
+    /// # Errors
+    ///
+    /// Returns the index of the first `(k, i, j)` tap whose last word has
+    /// bits set past channel `c` (a dirty tail, which the kernels would
+    /// count as weights).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data` is not exactly `k·kh·kw·words_per_tap` words long.
+    pub fn from_words(shape: FilterShape, data: Vec<W>) -> Result<Self, usize> {
+        let words_per_tap = shape.c.div_ceil(W::BITS);
+        let taps = shape.k * shape.kh * shape.kw;
+        assert_eq!(data.len(), taps * words_per_tap, "word count mismatch");
+        let rem = shape.c % W::BITS;
+        let dirty = if rem == 0 {
+            W::zero()
+        } else {
+            W::low_mask(rem).not()
+        };
+        let mut tap_pops = Vec::with_capacity(taps);
+        let mut window_pops = vec![0; shape.k];
+        for (t, span) in data.chunks_exact(words_per_tap.max(1)).enumerate() {
+            if span[words_per_tap - 1].and(dirty) != W::zero() {
+                return Err(t);
+            }
+            let pop: u32 = span.iter().map(|w| w.popcount()).sum();
+            tap_pops.push(pop);
+            window_pops[t / (shape.kh * shape.kw)] += pop;
+        }
+        // A zero-channel bank has no words, so no chunk filled its taps.
+        tap_pops.resize(taps, 0);
+        Ok(Self {
+            shape,
+            words_per_tap,
+            data,
+            tap_pops,
+            window_pops,
+        })
+    }
+
     /// The logical filter-bank shape.
     pub fn shape(&self) -> FilterShape {
         self.shape
@@ -742,6 +787,32 @@ mod tests {
         assert!(!f.get_bit(1, 2, 2, 38));
         assert!(f.tail_is_clean());
         assert_eq!(f.byte_len(), 2 * 3 * 3 * 2 * 4);
+    }
+
+    #[test]
+    fn from_words_matches_set_bit_and_rejects_dirty_tails() {
+        let shape = FilterShape::new(3, 2, 2, 21);
+        let mut f = PackedFilters::<u16>::zeros(shape);
+        for (n, (k, i, j, c)) in (0..3)
+            .flat_map(|k| (0..2).flat_map(move |i| (0..2).map(move |j| (k, i, j))))
+            .flat_map(|(k, i, j)| (0..21).map(move |c| (k, i, j, c)))
+            .enumerate()
+        {
+            f.set_bit(k, i, j, c, n % 3 == 0 || n % 7 == 0);
+        }
+        let words = f.as_words().to_vec();
+        assert_eq!(
+            PackedFilters::from_words(shape, words.clone()),
+            Ok(f.clone())
+        );
+        // Bit 21 of tap (1, 1, 0) — flat tap 6 — is past the last channel.
+        let mut dirty = words;
+        dirty[6 * 2 + 1] |= 1 << 5;
+        assert_eq!(PackedFilters::from_words(shape, dirty), Err(6));
+        // Word-aligned channels have no tail to dirty.
+        let aligned = FilterShape::new(1, 1, 1, 16);
+        let f = PackedFilters::<u16>::from_words(aligned, vec![u16::MAX]).unwrap();
+        assert_eq!(f.window_popcount(0), 16);
     }
 
     #[test]
